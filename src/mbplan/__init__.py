@@ -7,12 +7,6 @@ from .dimensioning import (
     Mode,
     PtmpCountMode,
     dimension,
-    dimension_continuum_approx,
-    dimension_continuum_exact,
-    dimension_grooming_approx,
-    dimension_grooming_exact,
-    dimension_ptmp_approx,
-    dimension_ptmp_exact,
 )
 from .report import ComparisonReport, build_comparison
 from .scenario import (
@@ -25,6 +19,7 @@ from .scenario import (
     load_scenario,
     save_scenario,
     scenario_from_json,
+    scenario_to_dict,
     scenario_to_json,
     validate,
 )

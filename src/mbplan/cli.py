@@ -203,10 +203,13 @@ def cmd_sweep(args) -> int:
     for arch in archs:
         header += [f"{arch.value}_total", f"{arch.value}_capex_cu"]
     writer.writerow(header)
+    # only h4 of the sweepable fields changes the graph
+    topology = None
     for value in values:
         point = replace(scenario, **{field: value})
         row = [field, _num(value)]
-        topology = generate_topology(point) if ArchitectureKind.PTMP in archs else None
+        if ArchitectureKind.PTMP in archs and (topology is None or field == "h4"):
+            topology = generate_topology(point)
         for arch in archs:
             result = dimension(point, arch, Mode.EXACT, ptmp_count_mode=count_mode, topology=topology)
             capex = cost(result, model, point)

@@ -104,84 +104,67 @@ def grooming_uplink_channels(s: NetworkScenario) -> int:
     return math.ceil(load / Fraction(s.channel_rate_gbps))
 
 
-def dimension_grooming_exact(s: NetworkScenario) -> DimensioningResult:
-    """Per-level transponders with HL3 grooming; one electronic hop, two O/E/O."""
-    validate(s)
-    n4 = channels_needed(s.a4_gbps, s.channel_rate_gbps)
-    uplink = grooming_uplink_channels(s)
-    per_level = {
-        HierarchyLevel.HL4: n4 * s.h4,
-        HierarchyLevel.HL3: n4 * s.h4 + uplink * s.h3,
-        HierarchyLevel.HL12: uplink * s.h3,
-    }
-    return DimensioningResult(
-        arch=ArchitectureKind.GROOMING,
-        per_level=per_level,
-        total=sum(per_level.values()),
-        mode=Mode.EXACT,
-        electronic_hops_per_demand=1,
-        oeo_terminations_per_demand=2,
-    )
+#: approximate-mode totals: the closed forms, without ceilings
+CLOSED_FORMS = {
+    ArchitectureKind.GROOMING: lambda s: (1 + 2 * s.eta) * (s.a4_gbps / s.channel_rate_gbps) * s.h4,
+    ArchitectureKind.CONTINUUM: lambda s: 2 * (s.a4_gbps / s.channel_rate_gbps) * s.h4,
+    ArchitectureKind.PTMP: lambda s: (
+        (s.a4_gbps / (s.channel_rate_gbps / s.fanout_m)) * s.h4 * (1 + 1 / s.fanout_m)
+    ),
+}
 
 
-def dimension_grooming_approx(s: NetworkScenario) -> DimensioningResult:
-    """Closed form (1 + 2*eta) * (A4/C) * H4; totals only, no ceilings."""
-    validate(s)
-    total = (1 + 2 * s.eta) * (s.a4_gbps / s.channel_rate_gbps) * s.h4
-    return DimensioningResult(
-        arch=ArchitectureKind.GROOMING,
-        per_level={},
-        total=total,
-        mode=Mode.APPROXIMATE,
-        electronic_hops_per_demand=1,
-        oeo_terminations_per_demand=2,
-    )
-
-
-def dimension_continuum_exact(s: NetworkScenario) -> DimensioningResult:
-    """Direct HL4->HL12 lightpaths; HL3 bypassed, zero electronic hops."""
-    validate(s)
-    n4 = channels_needed(s.a4_gbps, s.channel_rate_gbps)
-    per_level = {
-        HierarchyLevel.HL4: n4 * s.h4,
-        HierarchyLevel.HL3: 0,
-        HierarchyLevel.HL12: n4 * s.h4,
-    }
-    return DimensioningResult(
-        arch=ArchitectureKind.CONTINUUM,
-        per_level=per_level,
-        total=sum(per_level.values()),
-        mode=Mode.EXACT,
-        electronic_hops_per_demand=0,
-        oeo_terminations_per_demand=0,
-    )
-
-
-def dimension_continuum_approx(s: NetworkScenario) -> DimensioningResult:
-    """Closed form 2 * (A4/C) * H4."""
-    validate(s)
-    total = 2 * (s.a4_gbps / s.channel_rate_gbps) * s.h4
-    return DimensioningResult(
-        arch=ArchitectureKind.CONTINUUM,
-        per_level={},
-        total=total,
-        mode=Mode.APPROXIMATE,
-        electronic_hops_per_demand=0,
-        oeo_terminations_per_demand=0,
-    )
-
-
-def dimension_ptmp_exact(
+def dimension(
     s: NetworkScenario,
-    count_mode: PtmpCountMode = PtmpCountMode.WORKED_EXAMPLE,
+    kind: ArchitectureKind,
+    mode: Mode = Mode.EXACT,
+    *,
+    ptmp_count_mode: PtmpCountMode = PtmpCountMode.WORKED_EXAMPLE,
     topology: PhysicalTopology | None = None,
 ) -> DimensioningResult:
-    """Point-to-multipoint pluggable counts, HL3 bypassed.
+    """Transceiver counts of one architecture.
 
-    ``worked-example`` needs the physical topology: hub modules pool the
+    Grooming takes one electronic hop and two O/E/O terminations per
+    demand; the bypass architectures take none. Approximate mode returns
+    the ``CLOSED_FORMS`` total with no per-level counts. ``worked-example``
+    ptmp counting needs the physical topology: hub modules pool the
     aggregate traffic of the HL4 nodes attached to each HL12.
     """
     validate(s)
+    count_mode = None
+    if mode is Mode.APPROXIMATE:
+        per_level, total = {}, CLOSED_FORMS[kind](s)
+    else:
+        n4 = channels_needed(s.a4_gbps, s.channel_rate_gbps)
+        if kind is ArchitectureKind.GROOMING:
+            uplink = grooming_uplink_channels(s)
+            per_level = {
+                HierarchyLevel.HL4: n4 * s.h4,
+                HierarchyLevel.HL3: n4 * s.h4 + uplink * s.h3,
+                HierarchyLevel.HL12: uplink * s.h3,
+            }
+        elif kind is ArchitectureKind.CONTINUUM:
+            per_level = {HierarchyLevel.HL4: n4 * s.h4, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: n4 * s.h4}
+        else:
+            count_mode = ptmp_count_mode
+            per_level = _ptmp_counts(s, count_mode, topology)
+        total = sum(per_level.values())
+    grooming = kind is ArchitectureKind.GROOMING
+    return DimensioningResult(
+        arch=kind,
+        per_level=per_level,
+        total=total,
+        mode=mode,
+        electronic_hops_per_demand=1 if grooming else 0,
+        oeo_terminations_per_demand=2 if grooming else 0,
+        ptmp_count_mode=count_mode,
+    )
+
+
+def _ptmp_counts(
+    s: NetworkScenario, count_mode: PtmpCountMode, topology: PhysicalTopology | None
+) -> dict[HierarchyLevel, int]:
+    """Spoke (HL4) and hub (HL12) module counts under ``count_mode``."""
     m = s.fanout_m
     if count_mode is PtmpCountMode.FORMULA:
         slices = math.ceil(Fraction(s.a4_gbps) * m / Fraction(s.channel_rate_gbps)) if s.a4_gbps > 0 else 0
@@ -200,46 +183,4 @@ def dimension_ptmp_exact(
             channels_needed(spokes * s.a4_gbps, s.channel_rate_gbps)
             for spokes in topology.spokes_per_hub().values()
         )
-    per_level = {HierarchyLevel.HL4: hl4, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: hl12}
-    return DimensioningResult(
-        arch=ArchitectureKind.PTMP,
-        per_level=per_level,
-        total=sum(per_level.values()),
-        mode=Mode.EXACT,
-        electronic_hops_per_demand=0,
-        oeo_terminations_per_demand=0,
-        ptmp_count_mode=count_mode,
-    )
-
-
-def dimension_ptmp_approx(s: NetworkScenario) -> DimensioningResult:
-    """Closed form (A4/(C/m)) * H4 * (1 + 1/m)."""
-    validate(s)
-    m = s.fanout_m
-    total = (s.a4_gbps / (s.channel_rate_gbps / m)) * s.h4 * (1 + 1 / m)
-    return DimensioningResult(
-        arch=ArchitectureKind.PTMP,
-        per_level={},
-        total=total,
-        mode=Mode.APPROXIMATE,
-        electronic_hops_per_demand=0,
-        oeo_terminations_per_demand=0,
-    )
-
-
-def dimension(
-    s: NetworkScenario,
-    kind: ArchitectureKind,
-    mode: Mode = Mode.EXACT,
-    *,
-    ptmp_count_mode: PtmpCountMode = PtmpCountMode.WORKED_EXAMPLE,
-    topology: PhysicalTopology | None = None,
-) -> DimensioningResult:
-    """Dispatch to the architecture/mode-specific dimensioner."""
-    if kind is ArchitectureKind.GROOMING:
-        return dimension_grooming_exact(s) if mode is Mode.EXACT else dimension_grooming_approx(s)
-    if kind is ArchitectureKind.CONTINUUM:
-        return dimension_continuum_exact(s) if mode is Mode.EXACT else dimension_continuum_approx(s)
-    if mode is Mode.EXACT:
-        return dimension_ptmp_exact(s, count_mode=ptmp_count_mode, topology=topology)
-    return dimension_ptmp_approx(s)
+    return {HierarchyLevel.HL4: hl4, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: hl12}

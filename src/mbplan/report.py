@@ -9,16 +9,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .costing import CostModel, CostReport, compare
-from .dimensioning import (
-    ArchitectureKind,
-    DimensioningResult,
-    PtmpCountMode,
-    dimension_continuum_exact,
-    dimension_grooming_exact,
-    dimension_ptmp_exact,
+from .dimensioning import ArchitectureKind, DimensioningResult, PtmpCountMode, dimension
+from .scenario import NetworkScenario, PhysicalTopology, generate_topology, scenario_to_dict, validate
+from .spectrum import (
+    FeasibilityReport,
+    SpectrumPlan,
+    _feasibility,
+    assign_spectrum,
+    default_spectrum_plan,
+    demands_for,
+    restrict_plan,
 )
-from .scenario import NetworkScenario, PhysicalTopology, generate_topology, validate
-from .spectrum import FeasibilityReport, SpectrumPlan, default_spectrum_plan, feasibility_report, restrict_plan
 
 #: fixed honesty notes attached to every comparison
 DISCREPANCY_FOOTNOTES = (
@@ -65,17 +66,7 @@ class ComparisonReport:
 
     def to_dict(self) -> dict:
         return {
-            "scenario": {
-                "h4": self.scenario.h4,
-                "h3": self.scenario.h3,
-                "h12": self.scenario.h12,
-                "a4_gbps": self.scenario.a4_gbps,
-                "eta": self.scenario.eta,
-                "channel_rate_gbps": self.scenario.channel_rate_gbps,
-                "fanout_m": self.scenario.fanout_m,
-                "topology_kind": self.scenario.topology_kind.value,
-                "link_length_km": self.scenario.link_length_km,
-            },
+            "scenario": scenario_to_dict(self.scenario),
             "results": {arch.value: r.to_dict() for arch, r in self.results.items()},
             "costs": self.costs.to_dict(),
             "spectrum": {arch.value: s.to_dict() for arch, s in self.spectrum.items()},
@@ -94,7 +85,12 @@ def build_comparison(
 
     Spectrum feasibility is evaluated for the bypass architectures
     (continuum, ptmp) under the full plan and, when the plan has a C band,
-    under a C-band-only restriction as the legacy baseline.
+    under a C-band-only restriction as the legacy baseline. Both
+    architectures ask for the same lightpaths, so one summary serves both.
+    When C leads the plan, first-fit tries C before any other band for
+    every channel, under the same reach limit, so C fills exactly as in a
+    C-only run: the C-only report is read off the full run's C lightpaths.
+    Otherwise RSA runs a second time on the C-only plan.
     """
     validate(scenario)
     plan = plan if plan is not None else default_spectrum_plan()
@@ -102,20 +98,23 @@ def build_comparison(
     topology = topology if topology is not None else generate_topology(scenario)
 
     results = {
-        ArchitectureKind.GROOMING: dimension_grooming_exact(scenario),
-        ArchitectureKind.CONTINUUM: dimension_continuum_exact(scenario),
-        ArchitectureKind.PTMP: dimension_ptmp_exact(scenario, count_mode=ptmp_count_mode, topology=topology),
+        arch: dimension(scenario, arch, ptmp_count_mode=ptmp_count_mode, topology=topology)
+        for arch in ArchitectureKind
     }
     costs = compare(results, cost_model, scenario)
 
-    has_c = any(b.name == "C" for b in plan.bands)
-    c_only = restrict_plan(plan, C_BAND_ONLY) if has_c else None
-    spectrum = {}
-    for arch in (ArchitectureKind.CONTINUUM, ArchitectureKind.PTMP):
-        spectrum[arch] = SpectrumSummary(
-            c_band_only=feasibility_report(c_only, topology, arch, scenario) if c_only else None,
-            full_plan=feasibility_report(plan, topology, arch, scenario),
-        )
+    demands = demands_for(ArchitectureKind.CONTINUUM, scenario, topology)
+    requested = sum(d.channels for d in demands)
+    lightpaths = assign_spectrum(plan, topology, demands).lightpaths
+    c_band_only = None
+    if any(b.name == "C" for b in plan.bands):
+        c_plan = restrict_plan(plan, C_BAND_ONLY)
+        c_lightpaths = lightpaths
+        if plan.bands[0].name != "C":
+            c_lightpaths = assign_spectrum(c_plan, topology, demands).lightpaths
+        c_band_only = _feasibility(c_plan, c_lightpaths, requested)
+    summary = SpectrumSummary(c_band_only=c_band_only, full_plan=_feasibility(plan, lightpaths, requested))
+    spectrum = {ArchitectureKind.CONTINUUM: summary, ArchitectureKind.PTMP: summary}
     return ComparisonReport(
         scenario=scenario,
         results=results,

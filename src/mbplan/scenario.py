@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 
@@ -116,37 +117,32 @@ class Link:
 
 @dataclass(frozen=True)
 class PhysicalTopology:
-    """Generated node/link graph; nodes carry their hierarchy level."""
+    """Generated node/link graph; nodes carry their hierarchy level.
+
+    The derived maps (levels, adjacency, HL3 parents, HL12 hubs) are built
+    on first use and kept for the life of the instance; the map methods
+    hand out copies, so the cache cannot be changed from outside.
+    """
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
 
     def level_of(self, node_id: str) -> HierarchyLevel:
-        return self._levels()[node_id]
+        return self._levels[node_id]
 
     def nodes_at(self, level: HierarchyLevel) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.level is level)
 
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         """Neighbor ids per node, sorted for deterministic traversal."""
-        nbrs: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for link in self.links:
-            nbrs[link.a].append(link.b)
-            nbrs[link.b].append(link.a)
-        return {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
+        return dict(self._adjacency)
 
     def link_lengths(self) -> dict[tuple[str, str], float]:
         return {link.key: link.length_km for link in self.links}
 
     def hl3_parent_map(self) -> dict[str, str]:
         """HL4 node id -> the HL3 node it hangs off."""
-        levels = self._levels()
-        parents: dict[str, str] = {}
-        for link in self.links:
-            pair = {levels[link.a]: link.a, levels[link.b]: link.b}
-            if set(pair) == {HierarchyLevel.HL4, HierarchyLevel.HL3}:
-                parents[pair[HierarchyLevel.HL4]] = pair[HierarchyLevel.HL3]
-        return parents
+        return dict(self._parents)
 
     def hl12_hub_map(self) -> dict[str, str]:
         """HL3 node id -> its HL1/2 hub.
@@ -154,12 +150,7 @@ class PhysicalTopology:
         The hub is the nearest HL12 over the HL3/HL12 subgraph (hop count,
         ties broken by smaller node id). In a tree this is the direct parent.
         """
-        levels = self._levels()
-        adj = self.adjacency()
-        hubs: dict[str, str] = {}
-        for hl3 in self.nodes_at(HierarchyLevel.HL3):
-            hubs[hl3] = self._nearest_hl12(hl3, adj, levels)
-        return hubs
+        return dict(self._hubs)
 
     def spokes_per_hub(self) -> dict[str, int]:
         """Number of HL4 nodes whose traffic lands on each HL12 hub."""
@@ -170,24 +161,53 @@ class PhysicalTopology:
             counts[hubs[parents[hl4]]] += 1
         return counts
 
+    @cached_property
     def _levels(self) -> dict[str, HierarchyLevel]:
         return {n.id: n.level for n in self.nodes}
 
-    def _nearest_hl12(self, start: str, adj, levels) -> str:
-        seen = {start}
-        frontier = [start]
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        nbrs: dict[str, list[str]] = {n.id: [] for n in self.nodes}
+        for link in self.links:
+            nbrs[link.a].append(link.b)
+            nbrs[link.b].append(link.a)
+        return {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
+
+    @cached_property
+    def _parents(self) -> dict[str, str]:
+        levels = self._levels
+        parents: dict[str, str] = {}
+        for link in self.links:
+            pair = {levels[link.a]: link.a, levels[link.b]: link.b}
+            if set(pair) == {HierarchyLevel.HL4, HierarchyLevel.HL3}:
+                parents[pair[HierarchyLevel.HL4]] = pair[HierarchyLevel.HL3]
+        return parents
+
+    @cached_property
+    def _hubs(self) -> dict[str, str]:
+        # One breadth-first search from every HL12 at once, never entering
+        # HL4 nodes. A node's nearest hubs are the union of those of its
+        # predecessors one layer closer, so its smallest-id nearest hub is
+        # the smallest hub among its predecessors.
+        levels = self._levels
+        adj = self._adjacency
+        hub = {hl12: hl12 for hl12 in self.nodes_at(HierarchyLevel.HL12)}
+        frontier = list(hub)
         while frontier:
-            found = sorted(n for n in frontier if levels[n] is HierarchyLevel.HL12)
-            if found:
-                return found[0]
-            nxt = []
+            layer: dict[str, str] = {}
             for node in frontier:
                 for nbr in adj[node]:
-                    if nbr not in seen and levels[nbr] is not HierarchyLevel.HL4:
-                        seen.add(nbr)
-                        nxt.append(nbr)
-            frontier = nxt
-        raise ScenarioError(f"no HL12 node reachable from {start}")
+                    if nbr not in hub and levels[nbr] is not HierarchyLevel.HL4:
+                        if nbr not in layer or hub[node] < layer[nbr]:
+                            layer[nbr] = hub[node]
+            hub.update(layer)
+            frontier = list(layer)
+        hubs: dict[str, str] = {}
+        for hl3 in self.nodes_at(HierarchyLevel.HL3):
+            if hl3 not in hub:
+                raise ScenarioError(f"no HL12 node reachable from {hl3}")
+            hubs[hl3] = hub[hl3]
+        return hubs
 
 
 def generate_topology(scenario: NetworkScenario) -> PhysicalTopology:
@@ -279,8 +299,9 @@ def scenario_from_json(text: str) -> NetworkScenario:
     return validate(NetworkScenario(**values))
 
 
-def scenario_to_json(scenario: NetworkScenario) -> str:
-    doc = {
+def scenario_to_dict(scenario: NetworkScenario) -> dict:
+    """JSON-native scenario fields, in the scenario file's key order."""
+    return {
         "h4": scenario.h4,
         "h3": scenario.h3,
         "h12": scenario.h12,
@@ -291,7 +312,10 @@ def scenario_to_json(scenario: NetworkScenario) -> str:
         "topology_kind": scenario.topology_kind.value,
         "link_length_km": scenario.link_length_km,
     }
-    return json.dumps(doc, indent=2) + "\n"
+
+
+def scenario_to_json(scenario: NetworkScenario) -> str:
+    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:

@@ -460,27 +460,30 @@ def feasibility_report(
     """Route and assign the architecture's demands; feasible iff none blocked."""
     demands = demands_for(arch, scenario, topology)
     assignment = assign_spectrum(plan, topology, demands, route_by_km=route_by_km)
-    utilization = _band_utilization(assignment, plan)
-    return FeasibilityReport(
-        feasible=not assignment.blocked,
-        peak_link_occupancy=assignment.peak,
-        blocked_count=len(assignment.blocked),
-        band_utilization=utilization,
-        lightpath_count=len(assignment.lightpaths),
-        requested_channels=sum(d.channels for d in demands),
-    )
+    return _feasibility(plan, assignment.lightpaths, sum(d.channels for d in demands))
 
 
-def _band_utilization(assignment: SpectrumAssignment, plan: SpectrumPlan) -> dict[str, float]:
+def _feasibility(plan: SpectrumPlan, lightpaths: Iterable[Lightpath], requested: int) -> FeasibilityReport:
+    """Report on the lightpaths in the plan's bands; the rest of ``requested`` is blocked."""
+    counts = {band.name: channel_count(plan, band) for band in plan.bands}
     per_link_band: dict[tuple[str, str], dict[str, int]] = {}
-    for lp in assignment.lightpaths:
+    placed = 0
+    for lp in lightpaths:
+        if lp.band not in counts:
+            continue
+        placed += 1
         for a, b in lp.route:
-            key = (a, b) if a <= b else (b, a)
-            per_link_band.setdefault(key, {}).setdefault(lp.band, 0)
-            per_link_band[key][lp.band] += 1
+            bands = per_link_band.setdefault((a, b) if a <= b else (b, a), {})
+            bands[lp.band] = bands.get(lp.band, 0) + 1
     utilization: dict[str, float] = {}
-    for band in plan.bands:
-        n = channel_count(plan, band)
-        peak = max((bands.get(band.name, 0) for bands in per_link_band.values()), default=0)
-        utilization[band.name] = (peak / n) if n else 0.0
-    return utilization
+    for name, n in counts.items():
+        peak = max((bands.get(name, 0) for bands in per_link_band.values()), default=0)
+        utilization[name] = (peak / n) if n else 0.0
+    return FeasibilityReport(
+        feasible=placed == requested,
+        peak_link_occupancy=max((sum(bands.values()) for bands in per_link_band.values()), default=0),
+        blocked_count=requested - placed,
+        band_utilization=utilization,
+        lightpath_count=placed,
+        requested_channels=requested,
+    )

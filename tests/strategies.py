@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from mbplan.scenario import NetworkScenario, TopologyKind, generate_topology
@@ -79,6 +81,20 @@ def _short_reach_plan() -> SpectrumPlan:
         ),
         mode=PlanMode.DECLARED,
     )
+
+
+@st.composite
+def c_first_plans(draw):
+    """Plans led by a C band of 0-8 channels, often reach-limited, then 0-4 other bands."""
+    c_band = Band(
+        "C", 1530.0, 1565.0,
+        reach_limit_km=draw(st.sampled_from([None, 100.0, 300.0])),
+        channel_count_declared=draw(st.sampled_from([0, 1, 3, 8])),
+    )
+    others = draw(st.permutations([b for b in default_bands() if b.name != "C"]))
+    kept = others[: draw(st.integers(0, 4))]
+    rest = [replace(b, channel_count_declared=draw(st.integers(0, 6))) for b in kept]
+    return SpectrumPlan(bands=(c_band, *rest), mode=PlanMode.DECLARED)
 
 
 PLANS = st.sampled_from(

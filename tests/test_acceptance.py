@@ -14,16 +14,7 @@ from hypothesis import strategies as st
 
 from mbplan.cli import main
 from mbplan.costing import CostModel, compare, cost
-from mbplan.dimensioning import (
-    ArchitectureKind,
-    PtmpCountMode,
-    dimension_continuum_approx,
-    dimension_continuum_exact,
-    dimension_grooming_approx,
-    dimension_grooming_exact,
-    dimension_ptmp_approx,
-    dimension_ptmp_exact,
-)
+from mbplan.dimensioning import ArchitectureKind, Mode, PtmpCountMode, dimension
 from mbplan.scenario import HierarchyLevel, generate_topology
 from mbplan.spectrum import (
     assign_spectrum,
@@ -49,7 +40,7 @@ def per_level(result):
 # -- criterion 1: grooming worked example -------------------------------------
 
 def test_c01_grooming_worked_example(benchmark_scenario):
-    result = dimension_grooming_exact(benchmark_scenario)
+    result = dimension(benchmark_scenario, ArchitectureKind.GROOMING)
     assert per_level(result) == (200, 280, 80)
     assert result.total == 560
 
@@ -57,7 +48,7 @@ def test_c01_grooming_worked_example(benchmark_scenario):
 # -- criterion 2: continuum worked example -------------------------------------
 
 def test_c02_continuum_worked_example(benchmark_scenario):
-    result = dimension_continuum_exact(benchmark_scenario)
+    result = dimension(benchmark_scenario, ArchitectureKind.CONTINUUM)
     assert per_level(result) == (200, 0, 200)
     assert result.total == 400
 
@@ -66,8 +57,9 @@ def test_c02_continuum_worked_example(benchmark_scenario):
 
 def test_c03_ptmp_worked_example(benchmark_scenario, benchmark_topology):
     assert benchmark_scenario.fanout_m == 4
-    result = dimension_ptmp_exact(
-        benchmark_scenario, count_mode=PtmpCountMode.WORKED_EXAMPLE, topology=benchmark_topology
+    result = dimension(
+        benchmark_scenario, ArchitectureKind.PTMP,
+        ptmp_count_mode=PtmpCountMode.WORKED_EXAMPLE, topology=benchmark_topology
     )
     assert per_level(result) == (200, 0, 150)
     assert result.total == 350
@@ -76,8 +68,8 @@ def test_c03_ptmp_worked_example(benchmark_scenario, benchmark_topology):
 # -- criterion 4: transponder savings ------------------------------------------
 
 def test_c04_transponder_savings(benchmark_scenario):
-    grooming = dimension_grooming_exact(benchmark_scenario)
-    continuum = dimension_continuum_exact(benchmark_scenario)
+    grooming = dimension(benchmark_scenario, ArchitectureKind.GROOMING)
+    continuum = dimension(benchmark_scenario, ArchitectureKind.CONTINUUM)
     report = compare(
         {ArchitectureKind.GROOMING: grooming, ArchitectureKind.CONTINUUM: continuum},
         CostModel(),
@@ -91,9 +83,9 @@ def test_c04_transponder_savings(benchmark_scenario):
 
 def test_c05_capex_and_discrepancy_footnote(benchmark_scenario, capsys):
     model = CostModel()
-    continuum = cost(dimension_continuum_exact(benchmark_scenario), model, benchmark_scenario)
+    continuum = cost(dimension(benchmark_scenario, ArchitectureKind.CONTINUUM), model, benchmark_scenario)
     assert continuum.total_cu == 4800.0
-    grooming = cost(dimension_grooming_exact(benchmark_scenario), model, benchmark_scenario)
+    grooming = cost(dimension(benchmark_scenario, ArchitectureKind.GROOMING), model, benchmark_scenario)
     assert grooming.total_cu == 9280.0
     assert main(["compare", str(ROOT / "data" / "large_man.json")]) == 0
     out = capsys.readouterr().out
@@ -124,10 +116,10 @@ def test_c07_declared_channel_counts(default_plan):
 def test_c08_total_identity(s):
     topo = generate_topology(s)
     for result in (
-        dimension_grooming_exact(s),
-        dimension_continuum_exact(s),
-        dimension_ptmp_exact(s, count_mode=PtmpCountMode.FORMULA),
-        dimension_ptmp_exact(s, topology=topo),
+        dimension(s, ArchitectureKind.GROOMING),
+        dimension(s, ArchitectureKind.CONTINUUM),
+        dimension(s, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA),
+        dimension(s, ArchitectureKind.PTMP, topology=topo),
     ):
         assert result.total == sum(result.per_level.values())
 
@@ -138,10 +130,10 @@ def test_c08_monotonicity(s, da4, dh4, eta2):
     def totals(sc):
         topo = generate_topology(sc)
         return (
-            dimension_grooming_exact(sc).total,
-            dimension_continuum_exact(sc).total,
-            dimension_ptmp_exact(sc, count_mode=PtmpCountMode.FORMULA).total,
-            dimension_ptmp_exact(sc, topology=topo).total,
+            dimension(sc, ArchitectureKind.GROOMING).total,
+            dimension(sc, ArchitectureKind.CONTINUUM).total,
+            dimension(sc, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA).total,
+            dimension(sc, ArchitectureKind.PTMP, topology=topo).total,
         )
 
     base = totals(s)
@@ -150,23 +142,23 @@ def test_c08_monotonicity(s, da4, dh4, eta2):
     assert all(after >= before for before, after in zip(base, more_traffic))
     assert all(after >= before for before, after in zip(base, more_nodes))
     lo, hi = sorted((s.eta, eta2))
-    g_lo = dimension_grooming_exact(dataclasses.replace(s, eta=lo)).total
-    g_hi = dimension_grooming_exact(dataclasses.replace(s, eta=hi)).total
+    g_lo = dimension(dataclasses.replace(s, eta=lo), ArchitectureKind.GROOMING).total
+    g_hi = dimension(dataclasses.replace(s, eta=hi), ArchitectureKind.GROOMING).total
     assert g_hi >= g_lo
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
 @given(scenarios())
 def test_c08_continuum_symmetry(s):
-    result = dimension_continuum_exact(s)
+    result = dimension(s, ArchitectureKind.CONTINUUM)
     assert result.per_level[HL4] == result.per_level[HL12]
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
 @given(scenarios())
 def test_c08_bypass_dominance(s):
-    grooming = dimension_grooming_exact(s).total
-    continuum = dimension_continuum_exact(s).total
+    grooming = dimension(s, ArchitectureKind.GROOMING).total
+    continuum = dimension(s, ArchitectureKind.CONTINUUM).total
     assert continuum <= grooming
     if s.eta * s.a4_gbps > 0:
         assert continuum < grooming
@@ -177,8 +169,8 @@ def test_c08_bypass_dominance(s):
 def test_c08_ptmp_hub_packing(s):
     assume(s.a4_gbps <= s.channel_rate_gbps)
     topo = generate_topology(s)
-    worked = dimension_ptmp_exact(s, topology=topo).total
-    continuum = dimension_continuum_exact(s).total
+    worked = dimension(s, ArchitectureKind.PTMP, topology=topo).total
+    continuum = dimension(s, ArchitectureKind.CONTINUUM).total
     assert worked <= continuum
 
 
@@ -187,23 +179,23 @@ def test_c08_ptmp_hub_packing(s):
 def test_c08_grooming_matches_oracle(s):
     # scoped to h3 | h4: the closed formula applies the average HL4:HL3 ratio
     topo = generate_topology(s)
-    assert dict(dimension_grooming_exact(s).per_level) == grooming_oracle(s, topo)
+    assert dict(dimension(s, ArchitectureKind.GROOMING).per_level) == grooming_oracle(s, topo)
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
 @given(small_scenarios())
 def test_c08_continuum_matches_oracle(s):
     topo = generate_topology(s)
-    assert dict(dimension_continuum_exact(s).per_level) == continuum_oracle(s, topo)
+    assert dict(dimension(s, ArchitectureKind.CONTINUUM).per_level) == continuum_oracle(s, topo)
 
 
 @settings(max_examples=PROPERTY_CASES, deadline=None)
 @given(small_scenarios())
 def test_c08_ptmp_matches_oracles(s):
     topo = generate_topology(s)
-    assert dict(dimension_ptmp_exact(s, topology=topo).per_level) == ptmp_worked_oracle(s, topo)
+    assert dict(dimension(s, ArchitectureKind.PTMP, topology=topo).per_level) == ptmp_worked_oracle(s, topo)
     assert dict(
-        dimension_ptmp_exact(s, count_mode=PtmpCountMode.FORMULA).per_level
+        dimension(s, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA).per_level
     ) == ptmp_formula_oracle(s)
 
 
@@ -252,9 +244,9 @@ def test_c09_feasibility_demonstration(
 # -- criterion 10: closed-form approximations ------------------------------------
 
 def test_c10_closed_form_approximations(benchmark_scenario):
-    assert math.isclose(dimension_grooming_approx(benchmark_scenario).total, 300.0)
-    assert math.isclose(dimension_continuum_approx(benchmark_scenario).total, 300.0)
-    assert math.isclose(dimension_ptmp_approx(benchmark_scenario).total, 750.0)
+    assert math.isclose(dimension(benchmark_scenario, ArchitectureKind.GROOMING, Mode.APPROXIMATE).total, 300.0)
+    assert math.isclose(dimension(benchmark_scenario, ArchitectureKind.CONTINUUM, Mode.APPROXIMATE).total, 300.0)
+    assert math.isclose(dimension(benchmark_scenario, ArchitectureKind.PTMP, Mode.APPROXIMATE).total, 750.0)
     readme = (ROOT / "README.md").read_text(encoding="utf-8").lower()
     assert "closed form" in readme or "closed-form" in readme
     assert "560" in readme  # the exact count the grooming closed form diverges from

@@ -10,13 +10,7 @@ from mbplan.costing import (
     cost_model_from_json,
     load_cost_model,
 )
-from mbplan.dimensioning import (
-    ArchitectureKind,
-    dimension_continuum_exact,
-    dimension_grooming_approx,
-    dimension_grooming_exact,
-    dimension_ptmp_exact,
-)
+from mbplan.dimensioning import ArchitectureKind, Mode, dimension
 from mbplan.scenario import NetworkScenario, generate_topology
 from strategies import scenarios
 
@@ -24,7 +18,7 @@ GROOM, CONT, PTMP = ArchitectureKind.GROOMING, ArchitectureKind.CONTINUUM, Archi
 
 
 def test_continuum_capex_on_benchmark(benchmark_scenario):
-    c = cost(dimension_continuum_exact(benchmark_scenario), CostModel(), benchmark_scenario)
+    c = cost(dimension(benchmark_scenario, CONT), CostModel(), benchmark_scenario)
     assert c.transceiver_cost_cu == 4800.0
     assert c.router_cost_cu == 0.0
     assert c.total_cu == 4800.0
@@ -32,14 +26,14 @@ def test_continuum_capex_on_benchmark(benchmark_scenario):
 
 def test_grooming_capex_recomputed_from_unit_costs(benchmark_scenario):
     # 560 x 12 + 40 routers x 64 = 9280 CU (self-consistent recomputation)
-    c = cost(dimension_grooming_exact(benchmark_scenario), CostModel(), benchmark_scenario)
+    c = cost(dimension(benchmark_scenario, GROOM), CostModel(), benchmark_scenario)
     assert c.transceiver_cost_cu == 6720.0
     assert c.router_cost_cu == 2560.0
     assert c.total_cu == 9280.0
 
 
 def test_ptmp_uses_module_price(benchmark_scenario, benchmark_topology):
-    result = dimension_ptmp_exact(benchmark_scenario, topology=benchmark_topology)
+    result = dimension(benchmark_scenario, PTMP, topology=benchmark_topology)
     c = cost(result, CostModel(ptmp_module_cu=10.0), benchmark_scenario)
     assert c.transceiver_cost_cu == 3500.0
     assert c.router_cost_cu == 0.0
@@ -47,13 +41,13 @@ def test_ptmp_uses_module_price(benchmark_scenario, benchmark_topology):
 
 def test_zero_counts_cost_nothing():
     s = NetworkScenario(4, 2, 1, 0.0, 0.5)
-    c = cost(dimension_continuum_exact(s), CostModel(), s)
+    c = cost(dimension(s, CONT), CostModel(), s)
     assert c.total_cu == 0.0
 
 
 def test_approximate_results_are_rejected(benchmark_scenario):
     with pytest.raises(CostingError, match="exact"):
-        cost(dimension_grooming_approx(benchmark_scenario), CostModel(), benchmark_scenario)
+        cost(dimension(benchmark_scenario, GROOM, Mode.APPROXIMATE), CostModel(), benchmark_scenario)
 
 
 def test_negative_unit_cost_rejected():
@@ -63,9 +57,9 @@ def test_negative_unit_cost_rejected():
 
 def _benchmark_results(s, topo):
     return {
-        GROOM: dimension_grooming_exact(s),
-        CONT: dimension_continuum_exact(s),
-        PTMP: dimension_ptmp_exact(s, topology=topo),
+        GROOM: dimension(s, GROOM),
+        CONT: dimension(s, CONT),
+        PTMP: dimension(s, PTMP, topology=topo),
     }
 
 
@@ -80,8 +74,8 @@ def test_savings_on_benchmark(benchmark_scenario, benchmark_topology):
 
 
 def test_identical_results_save_nothing(benchmark_scenario):
-    results = {GROOM: dimension_grooming_exact(benchmark_scenario),
-               CONT: dimension_grooming_exact(benchmark_scenario)}
+    results = {GROOM: dimension(benchmark_scenario, GROOM),
+               CONT: dimension(benchmark_scenario, GROOM)}
     # same counts either way; router term differs only via the arch tag
     report = compare(results, CostModel(router_large_cu=0.0), benchmark_scenario)
     s = report.savings_between(GROOM, CONT)
@@ -99,7 +93,7 @@ def test_all_zero_scenario_saves_zero_percent():
 
 def test_compare_needs_two_architectures(benchmark_scenario):
     with pytest.raises(CostingError, match="at least 2"):
-        compare({GROOM: dimension_grooming_exact(benchmark_scenario)}, CostModel(), benchmark_scenario)
+        compare({GROOM: dimension(benchmark_scenario, GROOM)}, CostModel(), benchmark_scenario)
 
 
 def test_missing_pair_lookup_raises(benchmark_scenario, benchmark_topology):

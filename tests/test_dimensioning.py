@@ -12,12 +12,6 @@ from mbplan.dimensioning import (
     PtmpCountMode,
     channels_needed,
     dimension,
-    dimension_continuum_approx,
-    dimension_continuum_exact,
-    dimension_grooming_approx,
-    dimension_grooming_exact,
-    dimension_ptmp_approx,
-    dimension_ptmp_exact,
 )
 from mbplan.scenario import HierarchyLevel, NetworkScenario, generate_topology
 from strategies import scenarios
@@ -30,7 +24,7 @@ def per_level(result):
 
 
 def test_grooming_benchmark(benchmark_scenario):
-    r = dimension_grooming_exact(benchmark_scenario)
+    r = dimension(benchmark_scenario, ArchitectureKind.GROOMING)
     assert per_level(r) == (200, 280, 80)
     assert r.total == 560
     assert r.electronic_hops_per_demand == 1
@@ -40,18 +34,18 @@ def test_grooming_benchmark(benchmark_scenario):
 def test_grooming_fractional_uplink_ceiling():
     # per-HL3 uplink = ceil(5 * 0.5 * 500/400) = ceil(3.125) = 4
     s = NetworkScenario(h4=10, h3=2, h12=1, a4_gbps=500.0, eta=0.5)
-    r = dimension_grooming_exact(s)
+    r = dimension(s, ArchitectureKind.GROOMING)
     assert per_level(r) == (20, 28, 8)
     assert r.total == 56
 
 
 def test_grooming_zero_traffic_is_all_zero():
     s = NetworkScenario(h4=7, h3=3, h12=2, a4_gbps=0.0, eta=0.5)
-    assert per_level(dimension_grooming_exact(s)) == (0, 0, 0)
+    assert per_level(dimension(s, ArchitectureKind.GROOMING)) == (0, 0, 0)
 
 
 def test_continuum_benchmark(benchmark_scenario):
-    r = dimension_continuum_exact(benchmark_scenario)
+    r = dimension(benchmark_scenario, ArchitectureKind.CONTINUUM)
     assert per_level(r) == (200, 0, 200)
     assert r.total == 400
     assert r.electronic_hops_per_demand == 0
@@ -60,13 +54,13 @@ def test_continuum_benchmark(benchmark_scenario):
 
 def test_continuum_rounds_per_node():
     s = NetworkScenario(h4=10, h3=2, h12=1, a4_gbps=500.0, eta=0.5)
-    r = dimension_continuum_exact(s)
+    r = dimension(s, ArchitectureKind.CONTINUUM)
     assert per_level(r) == (20, 0, 20)
     assert r.total == 40
 
 
 def test_ptmp_worked_example_benchmark(benchmark_scenario, benchmark_topology):
-    r = dimension_ptmp_exact(benchmark_scenario, topology=benchmark_topology)
+    r = dimension(benchmark_scenario, ArchitectureKind.PTMP, topology=benchmark_topology)
     assert per_level(r) == (200, 0, 150)
     assert r.total == 350
     assert r.ptmp_count_mode is PtmpCountMode.WORKED_EXAMPLE
@@ -74,20 +68,20 @@ def test_ptmp_worked_example_benchmark(benchmark_scenario, benchmark_topology):
 
 
 def test_ptmp_formula_benchmark(benchmark_scenario):
-    r = dimension_ptmp_exact(benchmark_scenario, count_mode=PtmpCountMode.FORMULA)
+    r = dimension(benchmark_scenario, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA)
     assert per_level(r) == (600, 0, 150)
     assert r.total == 750
 
 
 def test_ptmp_worked_example_requires_topology(benchmark_scenario):
     with pytest.raises(DimensioningError, match="topology"):
-        dimension_ptmp_exact(benchmark_scenario, count_mode=PtmpCountMode.WORKED_EXAMPLE)
+        dimension(benchmark_scenario, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.WORKED_EXAMPLE)
 
 
 def test_ptmp_rejects_mismatched_topology(benchmark_scenario):
     other = generate_topology(NetworkScenario(4, 2, 1, 100.0, 0.5))
     with pytest.raises(DimensioningError, match="h4"):
-        dimension_ptmp_exact(benchmark_scenario, topology=other)
+        dimension(benchmark_scenario, ArchitectureKind.PTMP, topology=other)
 
 
 @settings(max_examples=100)
@@ -95,22 +89,23 @@ def test_ptmp_rejects_mismatched_topology(benchmark_scenario):
 def test_ptmp_formula_with_unit_fanout_equals_continuum(s):
     s1 = NetworkScenario(s.h4, s.h3, s.h12, s.a4_gbps, s.eta, s.channel_rate_gbps, 1,
                          s.topology_kind, s.link_length_km)
-    ptmp = dimension_ptmp_exact(s1, count_mode=PtmpCountMode.FORMULA)
-    cont = dimension_continuum_exact(s1)
+    ptmp = dimension(s1, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA)
+    cont = dimension(s1, ArchitectureKind.CONTINUUM)
     assert dict(ptmp.per_level) == dict(cont.per_level)
     assert ptmp.total == cont.total
 
 
 @pytest.mark.parametrize(
-    "fn, expected",
+    "kind, expected",
     [
-        (dimension_grooming_approx, 300.0),
-        (dimension_continuum_approx, 300.0),
-        (dimension_ptmp_approx, 750.0),
+        (ArchitectureKind.GROOMING, 300.0),
+        (ArchitectureKind.CONTINUUM, 300.0),
+        (ArchitectureKind.PTMP, 750.0),
     ],
+    ids=[kind.value for kind in ArchitectureKind],
 )
-def test_approximations_on_benchmark(benchmark_scenario, fn, expected):
-    r = fn(benchmark_scenario)
+def test_approximations_on_benchmark(benchmark_scenario, kind, expected):
+    r = dimension(benchmark_scenario, kind, Mode.APPROXIMATE)
     assert r.mode is Mode.APPROXIMATE
     assert r.per_level == {}
     assert math.isclose(r.total, expected)
@@ -118,20 +113,24 @@ def test_approximations_on_benchmark(benchmark_scenario, fn, expected):
 
 def test_approximations_further_points():
     s = NetworkScenario(h4=100, h3=10, h12=1, a4_gbps=400.0, eta=0.5)
-    assert math.isclose(dimension_grooming_approx(s).total, 200.0)
-    assert math.isclose(dimension_continuum_approx(s).total, 200.0)
+    assert math.isclose(dimension(s, ArchitectureKind.GROOMING, Mode.APPROXIMATE).total, 200.0)
+    assert math.isclose(dimension(s, ArchitectureKind.CONTINUUM, Mode.APPROXIMATE).total, 200.0)
     zero = NetworkScenario(h4=4, h3=2, h12=1, a4_gbps=0.0, eta=0.5)
-    assert dimension_grooming_approx(zero).total == 0
-    assert dimension_continuum_approx(zero).total == 0
-    assert dimension_ptmp_approx(zero).total == 0
+    assert dimension(zero, ArchitectureKind.GROOMING, Mode.APPROXIMATE).total == 0
+    assert dimension(zero, ArchitectureKind.CONTINUUM, Mode.APPROXIMATE).total == 0
+    assert dimension(zero, ArchitectureKind.PTMP, Mode.APPROXIMATE).total == 0
 
 
 def test_dispatcher_delegates(benchmark_scenario, benchmark_topology):
-    assert dimension(benchmark_scenario, ArchitectureKind.GROOMING) == dimension_grooming_exact(benchmark_scenario)
-    assert dimension(benchmark_scenario, ArchitectureKind.CONTINUUM) == dimension_continuum_exact(benchmark_scenario)
+    exact = Mode.EXACT
+    assert dimension(benchmark_scenario, ArchitectureKind.GROOMING) == dimension(
+        benchmark_scenario, ArchitectureKind.GROOMING, exact)
+    assert dimension(benchmark_scenario, ArchitectureKind.CONTINUUM) == dimension(
+        benchmark_scenario, ArchitectureKind.CONTINUUM, exact)
     assert dimension(
         benchmark_scenario, ArchitectureKind.PTMP, topology=benchmark_topology
-    ) == dimension_ptmp_exact(benchmark_scenario, topology=benchmark_topology)
+    ) == dimension(benchmark_scenario, ArchitectureKind.PTMP, exact,
+                   ptmp_count_mode=PtmpCountMode.WORKED_EXAMPLE, topology=benchmark_topology)
     assert dimension(benchmark_scenario, ArchitectureKind.GROOMING, Mode.APPROXIMATE).mode is Mode.APPROXIMATE
 
 
@@ -161,13 +160,13 @@ def test_monotone_in_traffic_and_nodes(s, extra_a4, extra_h4):
                               s.channel_rate_gbps, s.fanout_m, s.topology_kind, s.link_length_km)
     grow_h4 = NetworkScenario(s.h4 + extra_h4, s.h3, s.h12, s.a4_gbps, s.eta,
                               s.channel_rate_gbps, s.fanout_m, s.topology_kind, s.link_length_km)
-    for fn in (dimension_grooming_exact, dimension_continuum_exact):
-        assert fn(grow_a4).total >= fn(s).total
-        assert fn(grow_h4).total >= fn(s).total
-    f = lambda sc: dimension_ptmp_exact(sc, count_mode=PtmpCountMode.FORMULA).total
+    for kind in (ArchitectureKind.GROOMING, ArchitectureKind.CONTINUUM):
+        assert dimension(grow_a4, kind).total >= dimension(s, kind).total
+        assert dimension(grow_h4, kind).total >= dimension(s, kind).total
+    f = lambda sc: dimension(sc, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA).total
     assert f(grow_a4) >= f(s)
     assert f(grow_h4) >= f(s)
-    w = lambda sc: dimension_ptmp_exact(sc, topology=generate_topology(sc)).total
+    w = lambda sc: dimension(sc, ArchitectureKind.PTMP, topology=generate_topology(sc)).total
     assert w(grow_a4) >= w(s)
     assert w(grow_h4) >= w(s)
 
@@ -180,7 +179,7 @@ def test_grooming_monotone_in_oversubscription(s, eta2):
                            s.fanout_m, s.topology_kind, s.link_length_km)
     s_hi = NetworkScenario(s.h4, s.h3, s.h12, s.a4_gbps, hi, s.channel_rate_gbps,
                            s.fanout_m, s.topology_kind, s.link_length_km)
-    assert dimension_grooming_exact(s_hi).total >= dimension_grooming_exact(s_lo).total
+    assert dimension(s_hi, ArchitectureKind.GROOMING).total >= dimension(s_lo, ArchitectureKind.GROOMING).total
 
 
 @settings(max_examples=100)
@@ -193,7 +192,7 @@ def test_ceiling_consistency_grooming(j, k, h3, h12, eta, rate):
     assume(h12 <= h3)
     assume((k * j * 2 * eta) % 2 == 0)
     s = NetworkScenario(h4=k * h3, h3=h3, h12=h12, a4_gbps=j * rate, eta=eta, channel_rate_gbps=rate)
-    r = dimension_grooming_exact(s)
+    r = dimension(s, ArchitectureKind.GROOMING)
     uplink = int(k * eta * j)
     assert per_level(r) == (j * s.h4, j * s.h4 + uplink * h3, uplink * h3)
 
@@ -208,5 +207,5 @@ def test_ceiling_consistency_ptmp_formula(j, m, t, h3):
     assume(h3 <= h4)
     s = NetworkScenario(h4=h4, h3=h3, h12=1, a4_gbps=j * (400.0 / m), eta=0.5,
                         channel_rate_gbps=400.0, fanout_m=m)
-    r = dimension_ptmp_exact(s, count_mode=PtmpCountMode.FORMULA)
+    r = dimension(s, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA)
     assert per_level(r) == (j * h4, 0, j * h4 // m)

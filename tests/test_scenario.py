@@ -16,6 +16,7 @@ from mbplan.scenario import (
     scenario_to_json,
     validate,
 )
+from oracles import nearest_hl12
 from strategies import scenarios
 
 
@@ -137,6 +138,13 @@ def test_every_hl4_reaches_an_hl12(s):
     for hl4 in topo.nodes_at(HierarchyLevel.HL4):
         hub = hubs[parents[hl4]]
         assert topo.level_of(hub) is HierarchyLevel.HL12
+
+
+@settings(max_examples=200)
+@given(scenarios())
+def test_hub_map_matches_per_hl3_search(s):
+    topo = generate_topology(s)
+    assert topo.hl12_hub_map() == {hl3: nearest_hl12(topo, hl3) for hl3 in topo.nodes_at(HierarchyLevel.HL3)}
 
 
 @settings(max_examples=150)
