@@ -19,8 +19,8 @@ from .scenario import (
     load_scenario,
     save_scenario,
     scenario_from_json,
-    scenario_to_dict,
     scenario_to_json,
+    to_dict,
     validate,
 )
 from .spectrum import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from .dimensioning import (
     dimension,
 )
 from .report import ComparisonReport, build_comparison
-from .scenario import HierarchyLevel, ScenarioError, generate_topology, load_scenario
+from .scenario import HierarchyLevel, ScenarioError, generate_topology, load_scenario, to_dict
 from .spectrum import (
     RoutingError,
     SpectrumError,
@@ -36,6 +37,8 @@ CONFIG_ERRORS = (ScenarioError, SpectrumError, CostingError, DimensioningError, 
 
 SWEEP_FIELDS = ("a4_gbps", "eta", "h4", "fanout_m")
 INTEGER_SWEEP_FIELDS = ("h4", "fanout_m")
+#: most points one ``--vary`` range may expand to
+MAX_SWEEP_POINTS = 10_000
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -80,7 +83,7 @@ def cmd_dimension(args) -> int:
     result = dimension(scenario, kind, mode, ptmp_count_mode=count_mode, topology=topology)
 
     if args.format == "json":
-        print(json.dumps(result.to_dict(), indent=2))
+        print(json.dumps(to_dict(result), indent=2))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["arch", "mode", "ptmp_count_mode", "hl4", "hl3", "hl12", "total",
@@ -152,7 +155,7 @@ def cmd_compare(args) -> int:
     scenario, plan, model = _load_inputs(args)
     report = build_comparison(scenario, plan, model, ptmp_count_mode=PtmpCountMode(args.ptmp_count_mode))
     if args.format == "json":
-        doc = report.to_dict()
+        doc = to_dict(report)
         if args.no_footnotes:
             doc["footnotes"] = []
         print(json.dumps(doc, indent=2))
@@ -172,12 +175,17 @@ def _parse_vary(vary: str) -> tuple[str, list[float]]:
         ) from None
     if field not in SWEEP_FIELDS:
         raise ScenarioError(f"cannot sweep {field!r} (choose from {', '.join(SWEEP_FIELDS)})")
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ScenarioError(f"{field} sweep start, stop and step must be finite, got {rng}")
     if step <= 0:
-        raise ScenarioError(f"sweep step must be > 0, got {_num(step)}")
+        raise ScenarioError(f"{field} sweep step must be > 0, got {_num(step)}")
     if stop < start:
-        raise ScenarioError(f"sweep stop {_num(stop)} is below start {_num(start)}")
-    n = int((stop - start) / step + 1e-9) + 1
-    values = [round(start + i * step, 10) for i in range(n)]
+        raise ScenarioError(f"{field} sweep stop {_num(stop)} is below start {_num(start)}")
+    # checked before the list is built: a tiny step would make it unbounded
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_SWEEP_POINTS:
+        raise ScenarioError(f"{field} sweep has more than {MAX_SWEEP_POINTS} points")
+    values = [round(start + i * step, 10) for i in range(int(span) + 1)]
     if field in INTEGER_SWEEP_FIELDS:
         for v in values:
             if not float(v).is_integer():
@@ -226,7 +234,7 @@ def cmd_spectrum_check(args) -> int:
     topology = generate_topology(scenario)
     feas = feasibility_report(plan, topology, arch, scenario, route_by_km=args.route_by_km)
     if args.format == "json":
-        print(json.dumps(feas.to_dict(), indent=2))
+        print(json.dumps(to_dict(feas), indent=2))
     else:
         print(f"architecture: {arch.value}")
         print(f"bands: {','.join(b.name for b in plan.bands)} "

@@ -8,13 +8,12 @@ do not. Savings of B against baseline A = (cost_A - cost_B) / cost_A * 100.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .dimensioning import ArchitectureKind, DimensioningResult, Mode
-from .scenario import NetworkScenario
+from .scenario import NetworkScenario, read_record
 
 
 class CostingError(ValueError):
@@ -44,15 +43,6 @@ class ArchitectureCost:
     router_cost_cu: float
     total_cu: float
 
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch.value,
-            "transceiver_count": self.transceiver_count,
-            "transceiver_cost_cu": self.transceiver_cost_cu,
-            "router_cost_cu": self.router_cost_cu,
-            "total_cu": self.total_cu,
-        }
-
 
 @dataclass(frozen=True)
 class Savings:
@@ -60,14 +50,6 @@ class Savings:
     alternative: ArchitectureKind
     transponder_savings_pct: float
     cost_savings_pct: float
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline.value,
-            "alternative": self.alternative.value,
-            "transponder_savings_pct": self.transponder_savings_pct,
-            "cost_savings_pct": self.cost_savings_pct,
-        }
 
 
 @dataclass(frozen=True)
@@ -83,12 +65,6 @@ class CostReport:
             if s.baseline is baseline and s.alternative is alternative:
                 return s
         raise CostingError(f"no savings pair ({baseline.value} -> {alternative.value}) in report")
-
-    def to_dict(self) -> dict:
-        return {
-            "costs": {arch.value: c.to_dict() for arch, c in self.costs.items()},
-            "savings": [s.to_dict() for s in self.savings],
-        }
 
 
 def cost(result: DimensioningResult, model: CostModel, scenario: NetworkScenario) -> ArchitectureCost:
@@ -142,23 +118,7 @@ def compare(
 
 
 def cost_model_from_json(text: str) -> CostModel:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CostingError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise CostingError("cost model document must be a JSON object")
-    known = {"transponder_cu", "ptmp_module_cu", "router_large_cu", "routers_per_hl3"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise CostingError(f"unknown field(s) in cost model: {', '.join(unknown)}")
-    for name, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CostingError(f"{name} must be a number, got {value!r}")
-    if "routers_per_hl3" in raw and not float(raw["routers_per_hl3"]).is_integer():
-        raise CostingError(f"routers_per_hl3 must be an integer, got {raw['routers_per_hl3']!r}")
-    kwargs = {k: (int(v) if k == "routers_per_hl3" else float(v)) for k, v in raw.items()}
-    return CostModel(**kwargs)
+    return read_record(text, CostModel, CostingError)
 
 
 def load_cost_model(path: str | Path) -> CostModel:

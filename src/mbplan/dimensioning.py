@@ -57,32 +57,23 @@ class PtmpCountMode(str, Enum):
     WORKED_EXAMPLE = "worked-example"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DimensioningResult:
+    """Counts of one architecture; field order is the JSON key order."""
+
     arch: ArchitectureKind
     per_level: Mapping[HierarchyLevel, int]
     total: float
     mode: Mode
+    ptmp_count_mode: PtmpCountMode | None = None
     electronic_hops_per_demand: int
     oeo_terminations_per_demand: int
-    ptmp_count_mode: PtmpCountMode | None = None
 
     def __post_init__(self):
         if self.mode is Mode.EXACT and self.total != sum(self.per_level.values()):
             raise DimensioningError(
                 f"exact total {self.total} != per-level sum {sum(self.per_level.values())}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "arch": self.arch.value,
-            "per_level": {level.value: count for level, count in self.per_level.items()},
-            "total": self.total,
-            "mode": self.mode.value,
-            "ptmp_count_mode": self.ptmp_count_mode.value if self.ptmp_count_mode else None,
-            "electronic_hops_per_demand": self.electronic_hops_per_demand,
-            "oeo_terminations_per_demand": self.oeo_terminations_per_demand,
-        }
 
 
 def channels_needed(traffic_gbps: float, channel_rate_gbps: float) -> int:

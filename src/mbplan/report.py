@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .costing import CostModel, CostReport, compare
 from .dimensioning import ArchitectureKind, DimensioningResult, PtmpCountMode, dimension
-from .scenario import NetworkScenario, PhysicalTopology, generate_topology, scenario_to_dict, validate
+from .scenario import NetworkScenario, PhysicalTopology, generate_topology, validate
 from .spectrum import (
     FeasibilityReport,
     SpectrumPlan,
@@ -49,12 +49,6 @@ class SpectrumSummary:
     c_band_only: FeasibilityReport | None
     full_plan: FeasibilityReport
 
-    def to_dict(self) -> dict:
-        return {
-            "c_band_only": self.c_band_only.to_dict() if self.c_band_only else None,
-            "full_plan": self.full_plan.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -63,15 +57,6 @@ class ComparisonReport:
     costs: CostReport
     spectrum: dict[ArchitectureKind, SpectrumSummary]
     footnotes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": scenario_to_dict(self.scenario),
-            "results": {arch.value: r.to_dict() for arch, r in self.results.items()},
-            "costs": self.costs.to_dict(),
-            "spectrum": {arch.value: s.to_dict() for arch, s in self.spectrum.items()},
-            "footnotes": list(self.footnotes),
-        }
 
 
 def build_comparison(

@@ -6,15 +6,22 @@ nodes terminate it toward CDN/IXP peers. The scenario is the single input
 record for dimensioning, spectrum feasibility and costing; this module
 validates it, turns it into a :class:`PhysicalTopology` (tree or ring) and
 reads/writes the scenario JSON format (strict: unknown fields are rejected).
+It also holds the strict JSON record reader and the ``to_dict`` serialiser
+that every input file and result type goes through.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from types import UnionType
+from typing import TypeVar, get_args, get_origin, get_type_hints
+
+R = TypeVar("R")
 
 
 class ScenarioError(ValueError):
@@ -49,17 +56,6 @@ class NetworkScenario:
     fanout_m: int = 4
     topology_kind: TopologyKind = TopologyKind.TREE
     link_length_km: float = 50.0
-
-
-#: required keys of the scenario JSON document
-REQUIRED_FIELDS = ("h4", "h3", "h12", "a4_gbps", "eta")
-#: optional keys and their defaults
-OPTIONAL_FIELDS = {
-    "channel_rate_gbps": 400.0,
-    "fanout_m": 4,
-    "topology_kind": "tree",
-    "link_length_km": 50.0,
-}
 
 
 def _require_count(name: str, value: object) -> int:
@@ -254,68 +250,106 @@ def generate_topology(scenario: NetworkScenario) -> PhysicalTopology:
     return PhysicalTopology(nodes=nodes, links=tuple(links))
 
 
-def _coerce(name: str, value: object) -> object:
-    if name in ("h4", "h3", "h12", "fanout_m"):
-        if isinstance(value, bool):
-            raise ScenarioError(f"{name} must be an integer, got {value!r}")
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if not isinstance(value, int):
-            raise ScenarioError(f"{name} must be an integer, got {value!r}")
-        return value
-    if name in ("a4_gbps", "eta", "channel_rate_gbps", "link_length_km"):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{name} must be a number, got {value!r}")
-        return float(value)
-    if name == "topology_kind":
+def read_record(text: str, cls: type[R], error: type[ValueError]) -> R:
+    """Parse a JSON object strictly into the dataclass ``cls``.
+
+    Field names, defaults and types come from ``cls`` itself: unknown and
+    missing fields are errors, and every value must match its field's type
+    (see :func:`_read_value`). Raises ``error`` naming the offending field.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"invalid JSON: {exc}") from exc
+    return _read_object(raw, cls, error, "")
+
+
+def _read_object(raw: object, cls: type[R], error: type[ValueError], label: str) -> R:
+    prefix = f"{label}: " if label else ""
+    if not isinstance(raw, dict):
+        raise error(f"{label or 'document'} must be a JSON object, got {type(raw).__name__}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(raw) - set(declared))
+    if unknown:
+        raise error(f"{prefix}unknown field(s): {', '.join(unknown)}")
+    missing = [name for name, f in declared.items()
+               if name not in raw and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise error(f"{prefix}missing required field(s): {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    return cls(**{name: _read_value(hints[name], value, prefix + name, error) for name, value in raw.items()})
+
+
+def _read_value(hint: object, value: object, name: str, error: type[ValueError]) -> object:
+    """One field's value under its declared type.
+
+    ``int`` rejects bools and accepts integral floats; ``float`` rejects
+    bools and non-finite values; ``X | None`` accepts null; an Enum is
+    looked up by value; ``str`` must be a string; ``tuple[D, ...]`` of a
+    dataclass ``D`` is a list of objects, each read as ``d #i``.
+    """
+    if get_origin(hint) is UnionType:
+        if value is None:
+            return None
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        if not isinstance(value, list):
+            raise error(f"{name} must be a list, got {value!r}")
+        return tuple(_read_object(entry, item, error, f"{item.__name__.lower()} #{i}")
+                     for i, entry in enumerate(value))
+    if isinstance(hint, type) and issubclass(hint, Enum):
         try:
-            return TopologyKind(value)
+            return hint(value)
         except ValueError:
-            choices = "|".join(k.value for k in TopologyKind)
-            raise ScenarioError(f"topology_kind must be one of {choices}, got {value!r}") from None
-    raise ScenarioError(f"unknown field: {name}")
+            choices = "|".join(member.value for member in hint)
+            raise error(f"{name} must be one of {choices}, got {value!r}") from None
+    if hint is str:
+        if not isinstance(value, str):
+            raise error(f"{name} must be a string, got {value!r}")
+        return value
+    number = not isinstance(value, bool) and isinstance(value, (int, float))
+    if hint is int:
+        if not number or isinstance(value, float) and not value.is_integer():
+            raise error(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    if hint is float:
+        if not number or not math.isfinite(value):
+            raise error(f"{name} must be a finite number, got {value!r}")
+        return float(value)
+    raise TypeError(f"{name}: unsupported field type {hint!r}")
+
+
+def to_dict(obj: object) -> dict:
+    """JSON-native fields of a dataclass instance, in field order.
+
+    Nested dataclasses become dicts, enums (also as dict keys) their
+    ``.value``, tuples lists.
+    """
+    return _json_native(obj)
+
+
+def _json_native(value: object) -> object:
+    if is_dataclass(value):
+        return {f.name: _json_native(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {_json_native(k): _json_native(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json_native(v) for v in value]
+    return value
 
 
 def scenario_from_json(text: str) -> NetworkScenario:
     """Parse and validate a scenario JSON document (strict)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario document must be a JSON object")
-
-    known = set(REQUIRED_FIELDS) | set(OPTIONAL_FIELDS)
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ScenarioError(f"unknown field(s): {', '.join(unknown)}")
-    missing = [name for name in REQUIRED_FIELDS if name not in raw]
-    if missing:
-        raise ScenarioError(f"missing required field(s): {', '.join(missing)}")
-
-    values = {name: _coerce(name, raw[name]) for name in raw}
-    for name, default in OPTIONAL_FIELDS.items():
-        values.setdefault(name, _coerce(name, default))
-    return validate(NetworkScenario(**values))
-
-
-def scenario_to_dict(scenario: NetworkScenario) -> dict:
-    """JSON-native scenario fields, in the scenario file's key order."""
-    return {
-        "h4": scenario.h4,
-        "h3": scenario.h3,
-        "h12": scenario.h12,
-        "a4_gbps": scenario.a4_gbps,
-        "eta": scenario.eta,
-        "channel_rate_gbps": scenario.channel_rate_gbps,
-        "fanout_m": scenario.fanout_m,
-        "topology_kind": scenario.topology_kind.value,
-        "link_length_km": scenario.link_length_km,
-    }
+    return validate(read_record(text, NetworkScenario, ScenarioError))
 
 
 def scenario_to_json(scenario: NetworkScenario) -> str:
-    return json.dumps(scenario_to_dict(scenario), indent=2) + "\n"
+    return json.dumps(to_dict(scenario), indent=2) + "\n"
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:

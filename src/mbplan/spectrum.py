@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dimensioning import ArchitectureKind, channels_needed, grooming_uplink_channels
-from .scenario import HierarchyLevel, NetworkScenario, PhysicalTopology, validate
+from .scenario import HierarchyLevel, NetworkScenario, PhysicalTopology, read_record, to_dict, validate
 
 #: speed of light in nm*THz (c = 299792458 m/s)
 SPEED_OF_LIGHT_NM_THZ = 299792.458
@@ -195,68 +195,11 @@ def restrict_plan(plan: SpectrumPlan, names: Iterable[str]) -> SpectrumPlan:
 
 
 def spectrum_plan_from_json(text: str) -> SpectrumPlan:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpectrumError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise SpectrumError("spectrum plan document must be a JSON object")
-    unknown = sorted(set(raw) - {"bands", "grid_spacing_ghz", "mode"})
-    if unknown:
-        raise SpectrumError(f"unknown field(s) in spectrum plan: {', '.join(unknown)}")
-    if "bands" not in raw or not isinstance(raw["bands"], list):
-        raise SpectrumError("spectrum plan needs a 'bands' list")
-    band_keys = {"name", "lambda_min_nm", "lambda_max_nm", "reach_limit_km", "channel_count_declared"}
-    bands = []
-    for i, entry in enumerate(raw["bands"]):
-        if not isinstance(entry, dict):
-            raise SpectrumError(f"band #{i} must be an object")
-        bad = sorted(set(entry) - band_keys)
-        if bad:
-            raise SpectrumError(f"band #{i}: unknown field(s): {', '.join(bad)}")
-        try:
-            bands.append(
-                Band(
-                    name=entry["name"],
-                    lambda_min_nm=float(entry["lambda_min_nm"]),
-                    lambda_max_nm=float(entry["lambda_max_nm"]),
-                    reach_limit_km=None if entry.get("reach_limit_km") is None else float(entry["reach_limit_km"]),
-                    channel_count_declared=entry.get("channel_count_declared"),
-                )
-            )
-        except KeyError as exc:
-            raise SpectrumError(f"band #{i}: missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, SpectrumError):
-                raise
-            raise SpectrumError(f"band #{i}: {exc}") from exc
-    try:
-        mode = PlanMode(raw.get("mode", PlanMode.DECLARED.value))
-    except ValueError:
-        raise SpectrumError(f"mode must be computed|declared, got {raw.get('mode')!r}") from None
-    return SpectrumPlan(
-        bands=tuple(bands),
-        grid_spacing_ghz=float(raw.get("grid_spacing_ghz", DEFAULT_GRID_SPACING_GHZ)),
-        mode=mode,
-    )
+    return read_record(text, SpectrumPlan, SpectrumError)
 
 
 def spectrum_plan_to_json(plan: SpectrumPlan) -> str:
-    doc = {
-        "grid_spacing_ghz": plan.grid_spacing_ghz,
-        "mode": plan.mode.value,
-        "bands": [
-            {
-                "name": b.name,
-                "lambda_min_nm": b.lambda_min_nm,
-                "lambda_max_nm": b.lambda_max_nm,
-                "reach_limit_km": b.reach_limit_km,
-                "channel_count_declared": b.channel_count_declared,
-            }
-            for b in plan.bands
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(to_dict(plan), indent=2) + "\n"
 
 
 def load_spectrum_plan(path: str | Path) -> SpectrumPlan:
@@ -437,16 +380,6 @@ class FeasibilityReport:
     band_utilization: dict[str, float]
     lightpath_count: int
     requested_channels: int
-
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "peak_link_occupancy": self.peak_link_occupancy,
-            "blocked_count": self.blocked_count,
-            "band_utilization": dict(self.band_utilization),
-            "lightpath_count": self.lightpath_count,
-            "requested_channels": self.requested_channels,
-        }
 
 
 def feasibility_report(

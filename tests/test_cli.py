@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from mbplan.cli import main
+from mbplan import cli
+from mbplan.cli import MAX_SWEEP_POINTS, _parse_vary, main
 from mbplan.costing import CostModel
 from mbplan.report import build_comparison
-from mbplan.scenario import load_scenario
+from mbplan.scenario import ScenarioError, load_scenario, to_dict
 from mbplan.spectrum import default_spectrum_plan
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -69,12 +70,45 @@ def test_missing_scenario_file_names_path(capsys):
     assert "no/such/file.json" in err
 
 
-def test_invalid_scenario_field_named(capsys, tmp_path):
+SCENARIO_DOC = {"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100, "eta": 0.5}
+BAND_DOC = {"name": "C", "lambda_min_nm": 1530, "lambda_max_nm": 1565, "channel_count_declared": 80}
+
+
+def _scenario_file(field):
+    return {**SCENARIO_DOC, field: "@"}, ("dimension", "{file}", "--arch", "continuum")
+
+
+def _plan_file(field):
+    return {"mode": "computed", "bands": [BAND_DOC], field: "@"}, ("spectrum-check", RING, "--plan", "{file}")
+
+
+def _band_file(field):
+    return {"bands": [{**BAND_DOC, field: "@"}]}, ("spectrum-check", RING, "--plan", "{file}")
+
+
+def _cost_file(field):
+    return {field: "@"}, ("compare", RING, "--costs", "{file}")
+
+
+BAD_FIELDS = [
+    (_scenario_file, "h4"), (_scenario_file, "eta"), (_scenario_file, "a4_gbps"),
+    (_scenario_file, "channel_rate_gbps"), (_scenario_file, "link_length_km"),
+    (_plan_file, "grid_spacing_ghz"),
+    (_band_file, "lambda_min_nm"), (_band_file, "reach_limit_km"), (_band_file, "channel_count_declared"),
+    (_cost_file, "transponder_cu"), (_cost_file, "routers_per_hl3"),
+]
+BAD_VALUES = {"string": '"x"', "bool": "true", "list": "[1]", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+@pytest.mark.parametrize("kind, field", BAD_FIELDS, ids=[f"{k.__name__[1:-5]}-{f}" for k, f in BAD_FIELDS])
+def test_bad_input_value_exits_two_naming_the_field(capsys, tmp_path, kind, field, value):
+    doc, argv = kind(field)
     bad = tmp_path / "bad.json"
-    bad.write_text('{"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100, "eta": "x"}')
-    code, _, err = run(capsys, "dimension", str(bad), "--arch", "continuum")
-    assert code == 2
-    assert "eta" in err
+    bad.write_text(json.dumps(doc).replace('"@"', value))
+    code, out, err = run(capsys, *(a.format(file=bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
 
 
 def test_unknown_arch_flag_exits_two(capsys):
@@ -108,7 +142,7 @@ def test_compare_json_round_trips(capsys):
     assert code == 0
     parsed = json.loads(out)
     expected = build_comparison(load_scenario(BENCHMARK), default_spectrum_plan(), CostModel())
-    assert parsed == expected.to_dict()
+    assert parsed == to_dict(expected)
 
 
 def test_compare_zero_traffic(capsys, tmp_path):
@@ -196,6 +230,38 @@ def test_sweep_bad_specs_exit_two(capsys, vary):
     code, _, err = run(capsys, "sweep", BENCHMARK, "--vary", vary)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("vary", ["a4_gbps=0:inf:1", "eta=0:nan:1", "eta=-inf:1:0.5", "h4=1:2:inf"])
+def test_sweep_non_finite_range_exits_two(capsys, vary):
+    code, out, err = run(capsys, "sweep", BENCHMARK, "--vary", vary)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and vary.partition("=")[0] in err
+
+
+@pytest.fixture
+def bounded_range(monkeypatch):
+    """Fail instead of allocating if the cap ever stops guarding the point list."""
+
+    def guarded(*args):
+        points = range(*args)
+        assert len(points) <= MAX_SWEEP_POINTS
+        return points
+
+    monkeypatch.setattr(cli, "range", guarded, raising=False)
+
+
+# the cap is tested through _parse_vary, never by running a sweep
+@pytest.mark.parametrize("vary", ["eta=0:1:1e-300", "eta=0:1:5e-324", "a4_gbps=-1e308:1e308:1",
+                                  f"h4=1:{MAX_SWEEP_POINTS + 1}:1"])
+def test_sweep_point_cap(bounded_range, vary):
+    with pytest.raises(ScenarioError, match=f"{vary.partition('=')[0]} sweep has more than"):
+        _parse_vary(vary)
+
+
+def test_sweep_point_cap_is_inclusive(bounded_range):
+    field, values = _parse_vary(f"h4=1:{MAX_SWEEP_POINTS}:1")
+    assert field == "h4" and len(values) == MAX_SWEEP_POINTS
 
 
 # --- spectrum-check ----------------------------------------------------------

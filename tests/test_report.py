@@ -7,7 +7,7 @@ from mbplan import report as report_module
 from mbplan.costing import CostModel
 from mbplan.dimensioning import ArchitectureKind, PtmpCountMode
 from mbplan.report import DISCREPANCY_FOOTNOTES, build_comparison
-from mbplan.scenario import generate_topology
+from mbplan.scenario import generate_topology, to_dict
 from mbplan.spectrum import Band, SpectrumPlan, assign_spectrum, feasibility_report, restrict_plan
 from strategies import c_first_plans, scenarios
 
@@ -21,7 +21,7 @@ def test_report_covers_all_architectures(benchmark_scenario):
 
 
 def test_report_dict_is_json_native(benchmark_scenario):
-    doc = build_comparison(benchmark_scenario).to_dict()
+    doc = to_dict(build_comparison(benchmark_scenario))
     assert json.loads(json.dumps(doc)) == doc
     assert doc["results"]["continuum"]["total"] == 400
     assert doc["costs"]["costs"]["grooming"]["total_cu"] == 9280.0
@@ -33,7 +33,7 @@ def test_plan_without_c_band_skips_the_c_only_column(benchmark_scenario):
     summary = report.spectrum[ArchitectureKind.CONTINUUM]
     assert summary.c_band_only is None
     assert summary.full_plan.feasible
-    assert report.to_dict()["spectrum"]["continuum"]["c_band_only"] is None
+    assert to_dict(report)["spectrum"]["continuum"]["c_band_only"] is None
 
 
 def test_footnotes_flag_the_known_discrepancies():

@@ -191,6 +191,12 @@ def test_parse_error_reports_position():
         scenario_from_json("{not json")
 
 
+@pytest.mark.parametrize("text", ['{"h4": ' + "1" * 5000 + "}", "[" * 100_000], ids=["long-int", "deep"])
+def test_json_the_decoder_cannot_hold_is_rejected(text):
+    with pytest.raises(ScenarioError, match="invalid JSON"):
+        scenario_from_json(text)
+
+
 def test_bad_topology_kind_rejected():
     doc = '{"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100, "eta": 0.5, "topology_kind": "star"}'
     with pytest.raises(ScenarioError, match="topology_kind"):

@@ -137,6 +137,15 @@ def test_plan_json_rejects_unknown_fields():
         spectrum_plan_from_json('{"bands": [], "grid": 50}')
 
 
+def test_plan_json_accepts_integral_float_counts():
+    plan = spectrum_plan_from_json(
+        '{"bands": [{"name": "C", "lambda_min_nm": 1530, "lambda_max_nm": 1565,'
+        ' "channel_count_declared": 80.0}]}'
+    )
+    assert plan.bands[0].channel_count_declared == 80
+    assert type(plan.bands[0].channel_count_declared) is int
+
+
 def test_plan_json_rejects_bad_values():
     with pytest.raises(SpectrumError, match="band #0"):
         spectrum_plan_from_json(
