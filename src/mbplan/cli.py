@@ -57,10 +57,17 @@ def _num(value: float) -> str:
     return f"{value:g}"
 
 
+def _read(loader, path):
+    try:
+        return loader(path)
+    except (ScenarioError, SpectrumError, CostingError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc  # name the file at fault
+
+
 def _load_inputs(args):
-    scenario = load_scenario(args.scenario)
-    plan = load_spectrum_plan(args.plan) if getattr(args, "plan", None) else default_spectrum_plan()
-    model = load_cost_model(args.costs) if getattr(args, "costs", None) else CostModel()
+    scenario = _read(load_scenario, args.scenario)
+    plan = _read(load_spectrum_plan, args.plan) if getattr(args, "plan", None) else default_spectrum_plan()
+    model = _read(load_cost_model, args.costs) if getattr(args, "costs", None) else CostModel()
     return scenario, plan, model
 
 
@@ -232,7 +239,7 @@ def cmd_spectrum_check(args) -> int:
         plan = restrict_plan(plan, [b.strip() for b in args.bands.split(",")])
     arch = ArchitectureKind(args.arch)
     topology = generate_topology(scenario)
-    feas = feasibility_report(plan, topology, arch, scenario, route_by_km=args.route_by_km)
+    feas = feasibility_report(plan, topology, arch, scenario)
     if args.format == "json":
         print(json.dumps(to_dict(feas), indent=2))
     else:
@@ -291,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", default=ArchitectureKind.CONTINUUM.value,
                    choices=[a.value for a in ArchitectureKind])
     p.add_argument("--bands", help="comma-separated band subset, e.g. --bands C")
-    p.add_argument("--route-by-km", action="store_true",
-                   help="route on fibre length instead of hop count")
     p.add_argument("--format", default="table", choices=["table", "json"])
     p.set_defaults(func=cmd_spectrum_check)
     return parser

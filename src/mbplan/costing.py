@@ -8,6 +8,7 @@ do not. Savings of B against baseline A = (cost_A - cost_B) / cost_A * 100.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -31,8 +32,8 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("transponder_cu", "ptmp_module_cu", "router_large_cu", "routers_per_hl3"):
-            if getattr(self, name) < 0:
-                raise CostingError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise CostingError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

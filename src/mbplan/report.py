@@ -74,7 +74,7 @@ def build_comparison(
     architectures ask for the same lightpaths, so one summary serves both.
     When C leads the plan, first-fit tries C before any other band for
     every channel, under the same reach limit, so C fills exactly as in a
-    C-only run: the C-only report is read off the full run's C lightpaths.
+    C-only run: the C-only report is read off the full run's C-band occupancy.
     Otherwise RSA runs a second time on the C-only plan.
     """
     validate(scenario)
@@ -90,15 +90,13 @@ def build_comparison(
 
     demands = demands_for(ArchitectureKind.CONTINUUM, scenario, topology)
     requested = sum(d.channels for d in demands)
-    lightpaths = assign_spectrum(plan, topology, demands).lightpaths
+    assignment = assign_spectrum(plan, topology, demands)
     c_band_only = None
     if any(b.name == "C" for b in plan.bands):
         c_plan = restrict_plan(plan, C_BAND_ONLY)
-        c_lightpaths = lightpaths
-        if plan.bands[0].name != "C":
-            c_lightpaths = assign_spectrum(c_plan, topology, demands).lightpaths
-        c_band_only = _feasibility(c_plan, c_lightpaths, requested)
-    summary = SpectrumSummary(c_band_only=c_band_only, full_plan=_feasibility(plan, lightpaths, requested))
+        c_assignment = assignment if plan.bands[0].name == "C" else assign_spectrum(c_plan, topology, demands)
+        c_band_only = _feasibility(c_plan, c_assignment, requested)
+    summary = SpectrumSummary(c_band_only=c_band_only, full_plan=_feasibility(plan, assignment, requested))
     spectrum = {ArchitectureKind.CONTINUUM: summary, ArchitectureKind.PTMP: summary}
     return ComparisonReport(
         scenario=scenario,

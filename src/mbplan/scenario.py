@@ -76,20 +76,20 @@ def validate(scenario: NetworkScenario) -> NetworkScenario:
         raise ScenarioError(f"h3 exceeds h4 (h3={scenario.h3}, h4={scenario.h4})")
     if scenario.h12 > scenario.h3:
         raise ScenarioError(f"h12 exceeds h3 (h12={scenario.h12}, h3={scenario.h3})")
-    if not scenario.a4_gbps >= 0:
-        raise ScenarioError(f"a4_gbps must be non-negative, got {scenario.a4_gbps}")
+    if not 0 <= scenario.a4_gbps < math.inf:
+        raise ScenarioError(f"a4_gbps must be non-negative and finite, got {scenario.a4_gbps}")
     if not 0.0 <= scenario.eta <= 1.0:
         raise ScenarioError(f"eta out of range: {scenario.eta} (expected 0 <= eta <= 1)")
-    if not scenario.channel_rate_gbps > 0:
+    if not 0 < scenario.channel_rate_gbps < math.inf:
         raise ScenarioError(
-            f"channel_rate_gbps must be positive, got {scenario.channel_rate_gbps}"
+            f"channel_rate_gbps must be positive and finite, got {scenario.channel_rate_gbps}"
         )
     if _require_count("fanout_m", scenario.fanout_m) < 1:
         raise ScenarioError(f"fanout_m must be >= 1, got {scenario.fanout_m}")
     if not isinstance(scenario.topology_kind, TopologyKind):
         raise ScenarioError(f"topology_kind must be a TopologyKind, got {scenario.topology_kind!r}")
-    if not scenario.link_length_km > 0:
-        raise ScenarioError(f"link_length_km must be positive, got {scenario.link_length_km}")
+    if not 0 < scenario.link_length_km < math.inf:
+        raise ScenarioError(f"link_length_km must be positive and finite, got {scenario.link_length_km}")
     return scenario
 
 
@@ -255,12 +255,24 @@ def read_record(text: str, cls: type[R], error: type[ValueError]) -> R:
 
     Field names, defaults and types come from ``cls`` itself: unknown and
     missing fields are errors, and every value must match its field's type
-    (see :func:`_read_value`). Raises ``error`` naming the offending field.
+    (see :func:`_read_value`), and a field given twice in one object is an
+    error too. Raises ``error`` naming the offending field.
     """
+
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        record: dict[str, object] = {}
+        for key, value in pairs:
+            if key in record:
+                raise error(f"duplicate field: {key}")
+            record[key] = value
+        return record
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except error:
+        raise
     except (ValueError, RecursionError) as exc:
         raise error(f"invalid JSON: {exc}") from exc
     return _read_object(raw, cls, error, "")

@@ -18,6 +18,7 @@ the remaining 820 across O/E/S/L is proportional to the band widths
 every link of the route - wavelength continuity, no conversion - scanning
 bands in plan order and skipping bands whose reach is shorter than the
 route. Channels that fit nowhere are reported as blocked, not raised.
+Occupancy is one bitmask per band and link; first fit takes the lowest free bit.
 """
 
 from __future__ import annotations
@@ -78,13 +79,13 @@ class Band:
     def __post_init__(self):
         if self.name not in BAND_NAMES:
             raise SpectrumError(f"unknown band name {self.name!r} (expected one of {BAND_NAMES})")
-        if not 0 < self.lambda_min_nm <= self.lambda_max_nm:
+        if not 0 < self.lambda_min_nm <= self.lambda_max_nm < math.inf:
             raise SpectrumError(
-                f"band {self.name}: need 0 < lambda_min <= lambda_max, "
+                f"band {self.name}: need 0 < lambda_min_nm <= lambda_max_nm < inf, "
                 f"got {self.lambda_min_nm}..{self.lambda_max_nm}"
             )
-        if self.reach_limit_km is not None and not self.reach_limit_km > 0:
-            raise SpectrumError(f"band {self.name}: reach_limit_km must be positive or null")
+        if self.reach_limit_km is not None and not 0 < self.reach_limit_km < math.inf:
+            raise SpectrumError(f"band {self.name}: reach_limit_km must be positive and finite, or null")
         declared = self.channel_count_declared
         if declared is not None and (
             isinstance(declared, bool) or not isinstance(declared, int) or declared < 0
@@ -122,8 +123,8 @@ class SpectrumPlan:
         names = [b.name for b in self.bands]
         if len(set(names)) != len(names):
             raise SpectrumError(f"duplicate band names in plan: {names}")
-        if not self.grid_spacing_ghz > 0:
-            raise SpectrumError(f"grid_spacing_ghz must be positive, got {self.grid_spacing_ghz}")
+        if not 0 < self.grid_spacing_ghz < math.inf:
+            raise SpectrumError(f"grid_spacing_ghz must be positive and finite, got {self.grid_spacing_ghz}")
         by_edge = sorted(self.bands, key=lambda b: b.lambda_min_nm)
         for lo, hi in zip(by_edge, by_edge[1:]):
             if hi.lambda_min_nm < lo.lambda_max_nm:
@@ -227,25 +228,20 @@ def demands_for(
     Zero-channel demands are dropped (a4=0 yields an empty list).
     """
     validate(scenario)
-    rate = scenario.channel_rate_gbps
     parents = topology.hl3_parent_map()
     hubs = topology.hl12_hub_map()
+    grooming = arch is ArchitectureKind.GROOMING
     demands: list[Demand] = []
-    if arch is ArchitectureKind.GROOMING:
-        n4 = channels_needed(scenario.a4_gbps, rate)
-        if n4:
-            for hl4 in topology.nodes_at(HierarchyLevel.HL4):
-                demands.append(Demand(hl4, parents[hl4], scenario.a4_gbps, n4))
-        uplink = grooming_uplink_channels(scenario)
-        if uplink:
-            groomed = (scenario.h4 / scenario.h3) * scenario.eta * scenario.a4_gbps
-            for hl3 in topology.nodes_at(HierarchyLevel.HL3):
-                demands.append(Demand(hl3, hubs[hl3], groomed, uplink))
-    else:
-        n4 = channels_needed(scenario.a4_gbps, rate)
-        if n4:
-            for hl4 in topology.nodes_at(HierarchyLevel.HL4):
-                demands.append(Demand(hl4, hubs[parents[hl4]], scenario.a4_gbps, n4))
+    n4 = channels_needed(scenario.a4_gbps, scenario.channel_rate_gbps)
+    if n4:
+        for hl4 in topology.nodes_at(HierarchyLevel.HL4):
+            dest = parents[hl4] if grooming else hubs[parents[hl4]]
+            demands.append(Demand(hl4, dest, scenario.a4_gbps, n4))
+    uplink = grooming_uplink_channels(scenario) if grooming else 0
+    if uplink:
+        groomed = (scenario.h4 / scenario.h3) * scenario.eta * scenario.a4_gbps
+        for hl3 in topology.nodes_at(HierarchyLevel.HL3):
+            demands.append(Demand(hl3, hubs[hl3], groomed, uplink))
     return demands
 
 
@@ -264,32 +260,28 @@ class Lightpath:
 
 @dataclass
 class SpectrumAssignment:
+    """Placed and blocked channels, and the spectrum occupancy they leave.
+
+    ``occupancy[band][link]`` has bit ``i`` set when channel ``i`` of the band
+    is in use on the link; every band of the plan lists every link.
+    """
+
     lightpaths: list[Lightpath]
     blocked: list[Demand]
-    per_link_peak: dict[tuple[str, str], int]
-
-    @property
-    def peak(self) -> int:
-        return max(self.per_link_peak.values(), default=0)
+    occupancy: dict[str, dict[tuple[str, str], int]]
 
 
-def _shortest_path(
-    adj: dict[str, tuple[str, ...]],
-    lengths: dict[tuple[str, str], float],
-    source: str,
-    dest: str,
-    by_km: bool,
-) -> tuple[str, ...]:
-    """Min-cost path, cost = hops (or km), ties by lexicographic node sequence."""
+def _shortest_path(adj: dict[str, tuple[str, ...]], source: str, dest: str) -> tuple[str, ...]:
+    """Fewest-hop path, ties broken by lexicographic node sequence."""
     if source not in adj or dest not in adj:
         missing = source if source not in adj else dest
         raise RoutingError(f"unknown node {missing!r}")
     if source == dest:
         raise RoutingError(f"demand source equals destination: {source!r}")
-    heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
+    heap: list[tuple[int, tuple[str, ...]]] = [(0, (source,))]
     done: set[str] = set()
     while heap:
-        cost, path = heapq.heappop(heap)
+        hops, path = heapq.heappop(heap)
         node = path[-1]
         if node in done:
             continue
@@ -298,17 +290,12 @@ def _shortest_path(
             return path
         for nbr in adj[node]:
             if nbr not in done:
-                step = lengths[(node, nbr) if node <= nbr else (nbr, node)] if by_km else 1.0
-                heapq.heappush(heap, (cost + step, path + (nbr,)))
+                heapq.heappush(heap, (hops + 1, path + (nbr,)))
     raise RoutingError(f"no route from {source!r} to {dest!r}")
 
 
 def assign_spectrum(
-    plan: SpectrumPlan,
-    topology: PhysicalTopology,
-    demands: Sequence[Demand],
-    *,
-    route_by_km: bool = False,
+    plan: SpectrumPlan, topology: PhysicalTopology, demands: Sequence[Demand]
 ) -> SpectrumAssignment:
     """First-fit multi-band RSA over the demand list, in order.
 
@@ -320,50 +307,44 @@ def assign_spectrum(
     """
     adj = topology.adjacency()
     lengths = topology.link_lengths()
-    counts = {band.name: channel_count(plan, band) for band in plan.bands}
-    occupied: dict[tuple[str, str], set[tuple[str, int]]] = {link.key: set() for link in topology.links}
+    full = {band.name: (1 << channel_count(plan, band)) - 1 for band in plan.bands}
+    occupancy = {band.name: dict.fromkeys(lengths, 0) for band in plan.bands}
 
     lightpaths: list[Lightpath] = []
     blocked: list[Demand] = []
     for demand in demands:
-        path = _shortest_path(adj, lengths, demand.source, demand.dest, route_by_km)
+        path = _shortest_path(adj, demand.source, demand.dest)
         hops = tuple(zip(path, path[1:]))
         keys = [(a, b) if a <= b else (b, a) for a, b in hops]
         route_km = sum(lengths[k] for k in keys)
+        in_reach = [(band.name, occupancy[band.name]) for band in plan.bands
+                    if band.reach_limit_km is None or band.reach_limit_km >= route_km]
         per_carrier = demand.rate_gbps / demand.channels if demand.channels else 0.0
         for _ in range(demand.channels):
-            slot = _first_fit(plan, counts, occupied, keys, route_km)
-            if slot is None:
+            for name, masks in in_reach:
+                free = full[name]
+                for k in keys:
+                    free &= ~masks[k]
+                if free:
+                    break
+            else:
                 blocked.append(demand)
                 continue
-            band_name, ch = slot
+            lowest = free & -free
             for k in keys:
-                occupied[k].add((band_name, ch))
+                masks[k] |= lowest
             lightpaths.append(
                 Lightpath(
                     source=demand.source,
                     dest=demand.dest,
                     route=hops,
-                    band=band_name,
-                    channel=ch,
+                    band=name,
+                    channel=lowest.bit_length() - 1,
                     rate_gbps=per_carrier,
                     length_km=route_km,
                 )
             )
-    per_link_peak = {key: len(used) for key, used in occupied.items()}
-    return SpectrumAssignment(lightpaths=lightpaths, blocked=blocked, per_link_peak=per_link_peak)
-
-
-def _first_fit(plan, counts, occupied, keys, route_km):
-    for band in plan.bands:
-        if band.reach_limit_km is not None and band.reach_limit_km < route_km:
-            continue
-        n = counts[band.name]
-        used = set().union(*(occupied[k] for k in keys)) if keys else set()
-        for ch in range(n):
-            if (band.name, ch) not in used:
-                return band.name, ch
-    return None
+    return SpectrumAssignment(lightpaths=lightpaths, blocked=blocked, occupancy=occupancy)
 
 
 @dataclass
@@ -387,36 +368,24 @@ def feasibility_report(
     topology: PhysicalTopology,
     arch: ArchitectureKind,
     scenario: NetworkScenario,
-    *,
-    route_by_km: bool = False,
 ) -> FeasibilityReport:
     """Route and assign the architecture's demands; feasible iff none blocked."""
     demands = demands_for(arch, scenario, topology)
-    assignment = assign_spectrum(plan, topology, demands, route_by_km=route_by_km)
-    return _feasibility(plan, assignment.lightpaths, sum(d.channels for d in demands))
+    return _feasibility(plan, assign_spectrum(plan, topology, demands), sum(d.channels for d in demands))
 
 
-def _feasibility(plan: SpectrumPlan, lightpaths: Iterable[Lightpath], requested: int) -> FeasibilityReport:
-    """Report on the lightpaths in the plan's bands; the rest of ``requested`` is blocked."""
+def _feasibility(plan: SpectrumPlan, assignment: SpectrumAssignment, requested: int) -> FeasibilityReport:
+    """Report on the plan's bands of ``assignment``; the rest of ``requested`` is blocked."""
     counts = {band.name: channel_count(plan, band) for band in plan.bands}
-    per_link_band: dict[tuple[str, str], dict[str, int]] = {}
-    placed = 0
-    for lp in lightpaths:
-        if lp.band not in counts:
-            continue
-        placed += 1
-        for a, b in lp.route:
-            bands = per_link_band.setdefault((a, b) if a <= b else (b, a), {})
-            bands[lp.band] = bands.get(lp.band, 0) + 1
-    utilization: dict[str, float] = {}
-    for name, n in counts.items():
-        peak = max((bands.get(name, 0) for bands in per_link_band.values()), default=0)
-        utilization[name] = (peak / n) if n else 0.0
+    # channels in use per band and link; every band's masks list the same links in the same order
+    used = [[mask.bit_count() for mask in assignment.occupancy[name].values()] for name in counts]
+    placed = sum(lp.band in counts for lp in assignment.lightpaths)
     return FeasibilityReport(
         feasible=placed == requested,
-        peak_link_occupancy=max((sum(bands.values()) for bands in per_link_band.values()), default=0),
+        peak_link_occupancy=max(map(sum, zip(*used)), default=0),
         blocked_count=requested - placed,
-        band_utilization=utilization,
+        band_utilization={name: max(links, default=0) / n if n else 0.0
+                          for (name, n), links in zip(counts.items(), used)},
         lightpath_count=placed,
         requested_channels=requested,
     )

@@ -3,13 +3,19 @@
 Every count is produced by enumerating nodes and provisioning hardware one
 module at a time (repeated subtraction with exact rationals), walking the
 topology through its raw node/link lists rather than the library helpers.
+
+``reference_assign_spectrum`` and ``reference_feasibility`` are the earlier
+set-based first-fit engine and its lightpath re-walk, kept as the reference
+the bitmask engine in ``mbplan.spectrum`` is checked against.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from mbplan.scenario import HierarchyLevel, NetworkScenario, PhysicalTopology
+from mbplan.spectrum import FeasibilityReport, Lightpath, RoutingError, channel_count
 
 
 def modules_one_by_one(traffic_gbps, unit_capacity) -> int:
@@ -116,3 +122,105 @@ def ptmp_formula_oracle(s: NetworkScenario) -> dict[HierarchyLevel, int]:
         slices += modules_one_by_one(s.a4_gbps, slice_rate)
     hubs = modules_one_by_one(slices, s.fanout_m)
     return {HierarchyLevel.HL4: slices, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: hubs}
+
+
+def _shortest_path(adj, source, dest):
+    """Min-hop path, ties by lexicographic node sequence."""
+    if source not in adj or dest not in adj:
+        missing = source if source not in adj else dest
+        raise RoutingError(f"unknown node {missing!r}")
+    if source == dest:
+        raise RoutingError(f"demand source equals destination: {source!r}")
+    heap = [(0.0, (source,))]
+    done = set()
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        done.add(node)
+        if node == dest:
+            return path
+        for nbr in adj[node]:
+            if nbr not in done:
+                heapq.heappush(heap, (cost + 1.0, path + (nbr,)))
+    raise RoutingError(f"no route from {source!r} to {dest!r}")
+
+
+def _first_fit(plan, counts, occupied, keys, route_km):
+    for band in plan.bands:
+        if band.reach_limit_km is not None and band.reach_limit_km < route_km:
+            continue
+        n = counts[band.name]
+        used = set().union(*(occupied[k] for k in keys)) if keys else set()
+        for ch in range(n):
+            if (band.name, ch) not in used:
+                return band.name, ch
+    return None
+
+
+def reference_assign_spectrum(plan, topology, demands):
+    """First-fit RSA on per-link sets of (band, channel).
+
+    Returns ``(lightpaths, blocked, occupied)``, where ``occupied`` maps
+    every link key to the set of (band, channel) pairs in use on it.
+    """
+    adj = topology.adjacency()
+    lengths = topology.link_lengths()
+    counts = {band.name: channel_count(plan, band) for band in plan.bands}
+    occupied = {link.key: set() for link in topology.links}
+
+    lightpaths = []
+    blocked = []
+    for demand in demands:
+        path = _shortest_path(adj, demand.source, demand.dest)
+        hops = tuple(zip(path, path[1:]))
+        keys = [(a, b) if a <= b else (b, a) for a, b in hops]
+        route_km = sum(lengths[k] for k in keys)
+        per_carrier = demand.rate_gbps / demand.channels if demand.channels else 0.0
+        for _ in range(demand.channels):
+            slot = _first_fit(plan, counts, occupied, keys, route_km)
+            if slot is None:
+                blocked.append(demand)
+                continue
+            band_name, ch = slot
+            for k in keys:
+                occupied[k].add((band_name, ch))
+            lightpaths.append(
+                Lightpath(
+                    source=demand.source,
+                    dest=demand.dest,
+                    route=hops,
+                    band=band_name,
+                    channel=ch,
+                    rate_gbps=per_carrier,
+                    length_km=route_km,
+                )
+            )
+    return lightpaths, blocked, occupied
+
+
+def reference_feasibility(plan, lightpaths, requested):
+    """Report rebuilt by walking every lightpath in the plan's bands link by link."""
+    counts = {band.name: channel_count(plan, band) for band in plan.bands}
+    per_link_band = {}
+    placed = 0
+    for lp in lightpaths:
+        if lp.band not in counts:
+            continue
+        placed += 1
+        for a, b in lp.route:
+            bands = per_link_band.setdefault((a, b) if a <= b else (b, a), {})
+            bands[lp.band] = bands.get(lp.band, 0) + 1
+    utilization = {}
+    for name, n in counts.items():
+        peak = max((bands.get(name, 0) for bands in per_link_band.values()), default=0)
+        utilization[name] = (peak / n) if n else 0.0
+    return FeasibilityReport(
+        feasible=placed == requested,
+        peak_link_occupancy=max((sum(bands.values()) for bands in per_link_band.values()), default=0),
+        blocked_count=requested - placed,
+        band_utilization=utilization,
+        lightpath_count=placed,
+        requested_channels=requested,
+    )

@@ -97,7 +97,8 @@ BAD_FIELDS = [
     (_band_file, "lambda_min_nm"), (_band_file, "reach_limit_km"), (_band_file, "channel_count_declared"),
     (_cost_file, "transponder_cu"), (_cost_file, "routers_per_hl3"),
 ]
-BAD_VALUES = {"string": '"x"', "bool": "true", "list": "[1]", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+BAD_VALUES = {"string": '"x"', "bool": "true", "list": "[1]", "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+              "duplicate": '1, "{field}": 1'}
 
 
 @pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
@@ -105,10 +106,10 @@ BAD_VALUES = {"string": '"x"', "bool": "true", "list": "[1]", "nan": "NaN", "inf
 def test_bad_input_value_exits_two_naming_the_field(capsys, tmp_path, kind, field, value):
     doc, argv = kind(field)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc).replace('"@"', value))
+    bad.write_text(json.dumps(doc).replace('"@"', value.format(field=field)))
     code, out, err = run(capsys, *(a.format(file=bad) for a in argv))
     assert code == 2 and out == ""
-    assert err.startswith("error:") and field in err
+    assert err.startswith("error:") and field in err and str(bad) in err
 
 
 def test_unknown_arch_flag_exits_two(capsys):

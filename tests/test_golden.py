@@ -69,7 +69,6 @@ def _cases() -> list[tuple[str, list[str]]]:
         for fmt in ("table", "json"):
             argv = ["spectrum-check", path, "--format", fmt]
             cases.append((f"{tag}-spectrum-bands-c-{fmt}", argv + ["--bands", "C"]))
-            cases.append((f"{tag}-spectrum-route-by-km-{fmt}", argv + ["--route-by-km"]))
         cases.append((f"{tag}-spectrum-scarce-c",
                       ["spectrum-check", path, "--plan", "tests/golden/plan_c_scarce.json"]))
     return cases

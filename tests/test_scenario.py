@@ -1,9 +1,11 @@
 import json
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 
+from mbplan.costing import CostingError, CostModel
 from mbplan.scenario import (
     HierarchyLevel,
     NetworkScenario,
@@ -16,6 +18,7 @@ from mbplan.scenario import (
     scenario_to_json,
     validate,
 )
+from mbplan.spectrum import Band, SpectrumError, SpectrumPlan, default_bands
 from oracles import nearest_hl12
 from strategies import scenarios
 
@@ -46,6 +49,36 @@ def test_validate_degenerate_minimum():
 def test_validate_rejects_bad_fields(kwargs, message):
     with pytest.raises(ScenarioError, match=message):
         validate(NetworkScenario(**kwargs))
+
+
+def _scenario(**kwargs):
+    return validate(NetworkScenario(**{"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100.0, "eta": 0.5, **kwargs}))
+
+
+def _band(**kwargs):
+    return Band(**{"name": "C", "lambda_min_nm": 1530.0, "lambda_max_nm": 1565.0, **kwargs})
+
+
+def _plan(**kwargs):
+    return SpectrumPlan(bands=default_bands(), **kwargs)
+
+
+FINITE_FIELDS = [
+    (_scenario, ScenarioError, "a4_gbps"), (_scenario, ScenarioError, "eta"),
+    (_scenario, ScenarioError, "channel_rate_gbps"), (_scenario, ScenarioError, "link_length_km"),
+    (_band, SpectrumError, "lambda_min_nm"), (_band, SpectrumError, "lambda_max_nm"),
+    (_band, SpectrumError, "reach_limit_km"), (_plan, SpectrumError, "grid_spacing_ghz"),
+    (CostModel, CostingError, "transponder_cu"), (CostModel, CostingError, "ptmp_module_cu"),
+    (CostModel, CostingError, "router_large_cu"), (CostModel, CostingError, "routers_per_hl3"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("build, error, field", FINITE_FIELDS,
+                         ids=[f"{b.__name__.strip('_')}-{f}" for b, _, f in FINITE_FIELDS])
+def test_constructors_reject_non_finite(build, error, field, value):
+    with pytest.raises(error, match=field):
+        build(**{field: value})
 
 
 def test_tree_topology_benchmark_counts(benchmark_scenario, benchmark_topology):

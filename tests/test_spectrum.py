@@ -18,6 +18,7 @@ from mbplan.spectrum import (
     RoutingError,
     SpectrumError,
     SpectrumPlan,
+    _feasibility,
     assign_spectrum,
     band_width_thz,
     channel_count,
@@ -33,7 +34,8 @@ from mbplan.spectrum import (
     wavelength_to_thz,
     width_thz,
 )
-from strategies import assignment_cases
+from oracles import reference_assign_spectrum, reference_feasibility
+from strategies import PLANS, assignment_cases, c_first_plans, scenarios
 
 HL4, HL3, HL12 = HierarchyLevel.HL4, HierarchyLevel.HL3, HierarchyLevel.HL12
 
@@ -200,13 +202,22 @@ def test_first_fit_on_empty_network(default_plan):
     assert result.blocked == []
 
 
+def link_loads(assignment):
+    """Channels in use per link, summed over the bands."""
+    loads = {}
+    for masks in assignment.occupancy.values():
+        for key, mask in masks.items():
+            loads[key] = loads.get(key, 0) + mask.bit_count()
+    return loads
+
+
 def test_benchmark_tree_peak_is_five(benchmark_scenario, benchmark_topology, c_only_plan):
     demands = demands_for(ArchitectureKind.CONTINUUM, benchmark_scenario, benchmark_topology)
     result = assign_spectrum(c_only_plan, benchmark_topology, demands)
     assert result.blocked == []
-    assert result.peak == 5
+    assert max(link_loads(result).values()) == 5
     # the peak sits on HL3-HL12 links, carrying the 5 spokes of each HL3
-    for key, used in result.per_link_peak.items():
+    for key, used in link_loads(result).items():
         if used == 5:
             assert {key[0].split("-")[0], key[1].split("-")[0]} == {"hl12", "hl3"}
 
@@ -217,10 +228,10 @@ def test_ring_overload_blocking(ring_overload_scenario, default_plan, c_only_pla
     assert len(demands) == 100
     c_only = assign_spectrum(c_only_plan, topo, demands)
     assert len(c_only.blocked) == 20
-    assert c_only.peak == 80
+    assert max(link_loads(c_only).values()) == 80
     full = assign_spectrum(default_plan, topo, demands)
     assert full.blocked == []
-    assert full.peak == 100
+    assert max(link_loads(full).values()) == 100
 
 
 def test_reach_limit_skips_short_bands():
@@ -239,6 +250,15 @@ def test_reach_limit_skips_short_bands():
     assert result.lightpaths[0].length_km == 120.0
 
 
+def test_reach_limit_is_inclusive():
+    # a 2 x 50 km route exactly meets O's 100 km reach
+    nodes = (Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl4-0", HL4))
+    links = (Link("hl4-0", "hl3-0", 50.0), Link("hl3-0", "hl12-0", 50.0))
+    plan = SpectrumPlan(bands=(Band("O", 1260.0, 1360.0, reach_limit_km=100.0, channel_count_declared=1),))
+    result = assign_spectrum(plan, PhysicalTopology(nodes=nodes, links=links), [Demand("hl4-0", "hl12-0", 100.0, 1)])
+    assert [lp.band for lp in result.lightpaths] == ["O"]
+
+
 def test_route_ties_break_lexicographically(default_plan):
     nodes = (
         Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl3-1", HL3), Node("hl4-0", HL4),
@@ -250,23 +270,6 @@ def test_route_ties_break_lexicographically(default_plan):
     topo = PhysicalTopology(nodes=nodes, links=links)
     result = assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl12-0", 100.0, 1)])
     assert result.lightpaths[0].route == (("hl4-0", "hl3-0"), ("hl3-0", "hl12-0"))
-
-
-def test_km_weighted_routing_prefers_short_detour(default_plan):
-    # direct link is 1 hop but 100 km; the detour is 2 hops but 20 km
-    nodes = (Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl4-0", HL4))
-    links = (
-        Link("hl4-0", "hl12-0", 100.0),
-        Link("hl4-0", "hl3-0", 10.0),
-        Link("hl3-0", "hl12-0", 10.0),
-    )
-    topo = PhysicalTopology(nodes=nodes, links=links)
-    demand = [Demand("hl4-0", "hl12-0", 100.0, 1)]
-    by_hops = assign_spectrum(default_plan, topo, demand)
-    assert by_hops.lightpaths[0].route == (("hl4-0", "hl12-0"),)
-    by_km = assign_spectrum(default_plan, topo, demand, route_by_km=True)
-    assert by_km.lightpaths[0].route == (("hl4-0", "hl3-0"), ("hl3-0", "hl12-0"))
-    assert by_km.lightpaths[0].length_km == 20.0
 
 
 def test_unreachable_destination_is_structural_error(default_plan):
@@ -298,18 +301,21 @@ def test_assignment_invariants(case):
     result = assign_spectrum(plan, topo, demands)
     # conservation
     assert len(result.lightpaths) + len(result.blocked) == sum(d.channels for d in demands)
-    # no collision on any link, and peak bookkeeping matches
+    # no collision on any link, and each band's link mask is exactly the channels seen there
     seen = {}
     for lp in result.lightpaths:
         for a, b in lp.route:
             key = (a, b) if a <= b else (b, a)
             assert (lp.band, lp.channel) not in seen.setdefault(key, set())
             seen[key].add((lp.band, lp.channel))
-    for key, used in seen.items():
-        assert result.per_link_peak[key] == len(used)
+    lengths = topo.link_lengths()
+    assert set(result.occupancy) == {b.name for b in plan.bands}
+    for band, masks in result.occupancy.items():
+        assert masks.keys() == lengths.keys()
+        for key, mask in masks.items():
+            assert mask == sum(1 << ch for name, ch in seen.get(key, ()) if name == band)
     reaches = {b.name: b.reach_limit_km for b in plan.bands}
     counts = {b.name: channel_count(plan, b) for b in plan.bands}
-    lengths = topo.link_lengths()
     for lp in result.lightpaths:
         # continuity: route is a connected simple path from source to dest
         assert lp.route[0][0] == lp.source and lp.route[-1][1] == lp.dest
@@ -333,7 +339,35 @@ def test_assignment_deterministic(case):
     second = assign_spectrum(plan, topo, demands)
     assert first.lightpaths == second.lightpaths
     assert first.blocked == second.blocked
-    assert first.per_link_peak == second.per_link_peak
+    assert first.occupancy == second.occupancy
+
+
+@st.composite
+def architecture_cases(draw):
+    """(plan, topology, demands) with the demands an architecture asks for on a generated scenario."""
+    scenario = draw(scenarios())
+    topology = generate_topology(scenario)
+    plan = draw(st.one_of(PLANS, c_first_plans()))
+    return plan, topology, demands_for(draw(st.sampled_from(ArchitectureKind)), scenario, topology)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(assignment_cases(), architecture_cases()))
+def test_assignment_matches_reference(case):
+    plan, topo, demands = case
+    result = assign_spectrum(plan, topo, demands)
+    lightpaths, blocked, occupied = reference_assign_spectrum(plan, topo, demands)
+    assert result.lightpaths == lightpaths
+    assert result.blocked == blocked
+    assert set(result.occupancy) == {b.name for b in plan.bands}
+    for band, masks in result.occupancy.items():
+        assert masks.keys() == occupied.keys()
+        for key, mask in masks.items():
+            assert mask == sum(1 << ch for name, ch in occupied[key] if name == band)
+    requested = sum(d.channels for d in demands)
+    # the whole plan, and its first band alone read off the same occupancy
+    for sub in (plan, restrict_plan(plan, [plan.bands[0].name])):
+        assert _feasibility(sub, result, requested) == reference_feasibility(sub, lightpaths, requested)
 
 
 # --- feasibility reports -----------------------------------------------------
