@@ -23,6 +23,9 @@ from typing import TypeVar, get_args, get_origin, get_type_hints
 
 R = TypeVar("R")
 
+#: most HL4 nodes a scenario may ask for, checked before any node is generated
+_MAX_H4 = 100_000
+
 
 class ScenarioError(ValueError):
     """Raised for invalid scenario values or malformed scenario files."""
@@ -72,6 +75,8 @@ def validate(scenario: NetworkScenario) -> NetworkScenario:
     for name in ("h4", "h3", "h12"):
         if _require_count(name, getattr(scenario, name)) < 1:
             raise ScenarioError(f"{name} must be >= 1, got {getattr(scenario, name)}")
+    if scenario.h4 > _MAX_H4:
+        raise ScenarioError(f"h4 must be at most {_MAX_H4}, got {scenario.h4}")
     if scenario.h3 > scenario.h4:
         raise ScenarioError(f"h3 exceeds h4 (h3={scenario.h3}, h4={scenario.h4})")
     if scenario.h12 > scenario.h3:
@@ -260,10 +265,10 @@ def read_record(text: str, cls: type[R], error: type[ValueError]) -> R:
     """
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
-        record: dict[str, object] = {}
+        record: dict = {}
         for key, value in pairs:
             if key in record:
-                raise error(f"duplicate field: {key}")
+                record.setdefault(None, key)  # JSON keys are strings: None marks the first repeat
             record[key] = value
         return record
 
@@ -271,8 +276,6 @@ def read_record(text: str, cls: type[R], error: type[ValueError]) -> R:
         raw = json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise error(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except error:
-        raise
     except (ValueError, RecursionError) as exc:
         raise error(f"invalid JSON: {exc}") from exc
     return _read_object(raw, cls, error, "")
@@ -282,6 +285,8 @@ def _read_object(raw: object, cls: type[R], error: type[ValueError], label: str)
     prefix = f"{label}: " if label else ""
     if not isinstance(raw, dict):
         raise error(f"{label or 'document'} must be a JSON object, got {type(raw).__name__}")
+    if None in raw:
+        raise error(f"{prefix}duplicate field: {raw[None]}")
     declared = {f.name: f for f in fields(cls)}
     unknown = sorted(set(raw) - set(declared))
     if unknown:

@@ -23,7 +23,6 @@ Occupancy is one bitmask per band and link; first fit takes the lowest free bit.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -32,7 +31,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .dimensioning import ArchitectureKind, channels_needed, grooming_uplink_channels
-from .scenario import HierarchyLevel, NetworkScenario, PhysicalTopology, read_record, to_dict, validate
+from .scenario import (
+    HierarchyLevel, NetworkScenario, PhysicalTopology, ScenarioError, read_record, to_dict, validate,
+)
 
 #: speed of light in nm*THz (c = 299792458 m/s)
 SPEED_OF_LIGHT_NM_THZ = 299792.458
@@ -40,6 +41,12 @@ SPEED_OF_LIGHT_NM_THZ = 299792.458
 BAND_NAMES = ("O", "E", "S", "C", "L")
 
 DEFAULT_GRID_SPACING_GHZ = 50.0
+
+#: most channels one band may hold, declared or computed (one occupancy bit each per link)
+_MAX_BAND_CHANNELS = 100_000
+
+#: most channels one demand list may ask for (RSA time and the blocked list grow with it)
+_MAX_DEMAND_CHANNELS = 1_000_000
 
 
 class SpectrumError(ValueError):
@@ -129,12 +136,20 @@ class SpectrumPlan:
         for lo, hi in zip(by_edge, by_edge[1:]):
             if hi.lambda_min_nm < lo.lambda_max_nm:
                 raise SpectrumError(f"bands {lo.name} and {hi.name} overlap")
-        if self.mode is PlanMode.DECLARED:
+        declared = self.mode is PlanMode.DECLARED
+        if declared:
             missing = [b.name for b in self.bands if b.channel_count_declared is None]
             if missing:
                 raise SpectrumError(
                     f"declared mode needs channel_count_declared for band(s): {', '.join(missing)}"
                 )
+        for band in self.bands:
+            # channel_count's floor passes the cap iff the ratio reaches cap + 1; an infinite ratio has no floor
+            count = band.channel_count_declared if declared else band_width_ghz(band) / self.grid_spacing_ghz + 1e-9
+            if count >= _MAX_BAND_CHANNELS + 1:
+                source = (f"channel_count_declared {band.channel_count_declared}" if declared
+                          else f"grid_spacing_ghz {self.grid_spacing_ghz:g}")
+                raise SpectrumError(f"band {band.name}: {source} gives more than {_MAX_BAND_CHANNELS} channels")
 
     def band(self, name: str) -> Band:
         for band in self.bands:
@@ -231,16 +246,19 @@ def demands_for(
     parents = topology.hl3_parent_map()
     hubs = topology.hl12_hub_map()
     grooming = arch is ArchitectureKind.GROOMING
-    demands: list[Demand] = []
     n4 = channels_needed(scenario.a4_gbps, scenario.channel_rate_gbps)
+    uplink = grooming_uplink_channels(scenario) if grooming else 0
+    hl4s, hl3s = topology.nodes_at(HierarchyLevel.HL4), topology.nodes_at(HierarchyLevel.HL3)
+    if n4 * len(hl4s) + uplink * len(hl3s) > _MAX_DEMAND_CHANNELS:
+        raise ScenarioError(f"a4_gbps {scenario.a4_gbps:g} asks for more than {_MAX_DEMAND_CHANNELS} channels")
+    demands: list[Demand] = []
     if n4:
-        for hl4 in topology.nodes_at(HierarchyLevel.HL4):
+        for hl4 in hl4s:
             dest = parents[hl4] if grooming else hubs[parents[hl4]]
             demands.append(Demand(hl4, dest, scenario.a4_gbps, n4))
-    uplink = grooming_uplink_channels(scenario) if grooming else 0
     if uplink:
         groomed = (scenario.h4 / scenario.h3) * scenario.eta * scenario.a4_gbps
-        for hl3 in topology.nodes_at(HierarchyLevel.HL3):
+        for hl3 in hl3s:
             demands.append(Demand(hl3, hubs[hl3], groomed, uplink))
     return demands
 
@@ -271,27 +289,33 @@ class SpectrumAssignment:
     occupancy: dict[str, dict[tuple[str, str], int]]
 
 
-def _shortest_path(adj: dict[str, tuple[str, ...]], source: str, dest: str) -> tuple[str, ...]:
-    """Fewest-hop path, ties broken by lexicographic node sequence."""
+def _shortest_path(adj: dict[str, tuple[str, ...]], hops_to: dict, source: str, dest: str) -> tuple[str, ...]:
+    """Fewest-hop path, ties broken by lexicographic node sequence.
+
+    Each step goes to the smallest-id neighbour one hop closer, by one BFS's hop counts ``hops_to[dest]``.
+    """
     if source not in adj or dest not in adj:
         missing = source if source not in adj else dest
         raise RoutingError(f"unknown node {missing!r}")
     if source == dest:
         raise RoutingError(f"demand source equals destination: {source!r}")
-    heap: list[tuple[int, tuple[str, ...]]] = [(0, (source,))]
-    done: set[str] = set()
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
-            continue
-        done.add(node)
-        if node == dest:
-            return path
-        for nbr in adj[node]:
-            if nbr not in done:
-                heapq.heappush(heap, (hops + 1, path + (nbr,)))
-    raise RoutingError(f"no route from {source!r} to {dest!r}")
+    if dest in adj[source]:
+        return (source, dest)
+    hops = hops_to.get(dest)
+    if hops is None:
+        hops = hops_to[dest] = {dest: 0}
+        frontier = [dest]
+        for node in frontier:
+            for nbr in adj[node]:
+                if nbr not in hops:
+                    hops[nbr] = hops[node] + 1
+                    frontier.append(nbr)
+    if source not in hops:
+        raise RoutingError(f"no route from {source!r} to {dest!r}")
+    path = [source]
+    while path[-1] != dest:
+        path.append(next(nbr for nbr in adj[path[-1]] if hops.get(nbr) == hops[path[-1]] - 1))
+    return tuple(path)
 
 
 def assign_spectrum(
@@ -306,6 +330,7 @@ def assign_spectrum(
     total. Unknown or unreachable endpoints raise :class:`RoutingError`.
     """
     adj = topology.adjacency()
+    hops_to: dict[str, dict[str, int]] = {}
     lengths = topology.link_lengths()
     full = {band.name: (1 << channel_count(plan, band)) - 1 for band in plan.bands}
     occupancy = {band.name: dict.fromkeys(lengths, 0) for band in plan.bands}
@@ -313,7 +338,7 @@ def assign_spectrum(
     lightpaths: list[Lightpath] = []
     blocked: list[Demand] = []
     for demand in demands:
-        path = _shortest_path(adj, demand.source, demand.dest)
+        path = _shortest_path(adj, hops_to, demand.source, demand.dest)
         hops = tuple(zip(path, path[1:]))
         keys = [(a, b) if a <= b else (b, a) for a, b in hops]
         route_km = sum(lengths[k] for k in keys)

@@ -6,7 +6,9 @@ from dataclasses import replace
 
 from hypothesis import strategies as st
 
-from mbplan.scenario import NetworkScenario, TopologyKind, generate_topology
+from mbplan.scenario import (
+    HierarchyLevel, Link, NetworkScenario, Node, PhysicalTopology, TopologyKind, generate_topology,
+)
 from mbplan.spectrum import Band, Demand, PlanMode, SpectrumPlan, default_bands
 
 ETAS = st.one_of(
@@ -134,14 +136,42 @@ def assignment_cases(draw):
     Pairs are drawn within one connected component; tree topologies with
     h12 > 1 are forests of per-HL12 attachment domains.
     """
-    scenario = draw(small_scenarios())
-    topology = generate_topology(scenario)
-    groups = _components(topology)
+    topology = generate_topology(draw(small_scenarios()))
+    return draw(PLANS), topology, _routable_demands(draw, topology, 12)
+
+
+def _routable_demands(draw, topology, most):
+    """Up to ``most`` demands of 1-3 channels between distinct nodes of one connected component."""
+    groups = [ids for ids in _components(topology) if len(ids) > 1]
     demands = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, most)) if groups else 0):
         ids = groups[draw(st.integers(0, len(groups) - 1))]
         i = draw(st.integers(0, len(ids) - 1))
         j = (i + draw(st.integers(1, len(ids) - 1))) % len(ids)
         channels = draw(st.integers(1, 3))
         demands.append(Demand(ids[i], ids[j], 100.0 * channels, channels))
+    return demands
+
+
+@st.composite
+def graph_cases(draw):
+    """(plan, topology, demands) on a small hand-made graph, not a generated scenario.
+
+    Node levels are mixed at random, so HL4 nodes may be transit nodes, and
+    two-digit ids make string order differ from numeric order. Random links
+    give equal-hop alternative routes and disconnected parts. Demands join
+    nodes of one part, and half the cases add one demand between any two
+    ids: an unknown id, the same node twice or two parts, so routing may
+    raise.
+    """
+    levels = draw(st.lists(st.sampled_from(HierarchyLevel), min_size=2, max_size=12))
+    nodes = tuple(Node(f"{level.value.lower()}-{i}", level) for i, level in enumerate(levels))
+    pairs = [(a.id, b.id) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * len(nodes)))
+    links = tuple(Link(*(pair[::-1] if draw(st.booleans()) else pair), draw(LINK_LENGTHS)) for pair in chosen)
+    topology = PhysicalTopology(nodes=nodes, links=links)
+    demands = _routable_demands(draw, topology, 6)
+    if draw(st.booleans()):
+        endpoints = st.sampled_from([n.id for n in nodes] + ["hl3-99"])
+        demands.insert(draw(st.integers(0, len(demands))), Demand(draw(endpoints), draw(endpoints), 100.0, 1))
     return draw(PLANS), topology, demands

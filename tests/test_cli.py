@@ -110,6 +110,21 @@ def test_bad_input_value_exits_two_naming_the_field(capsys, tmp_path, kind, fiel
     code, out, err = run(capsys, *(a.format(file=bad) for a in argv))
     assert code == 2 and out == ""
     assert err.startswith("error:") and field in err and str(bad) in err
+    if kind is _band_file:
+        assert "band #0: " in err
+
+
+@pytest.mark.parametrize("doc, argv, field", [
+    ({**SCENARIO_DOC, "h4": 1e12}, ("dimension", "{file}", "--arch", "continuum"), "h4"),
+    ({"mode": "computed", "grid_spacing_ghz": 1e-300, "bands": [BAND_DOC]},
+     ("spectrum-check", RING, "--plan", "{file}"), "grid_spacing_ghz"),
+], ids=["h4", "grid_spacing_ghz"])
+def test_oversized_input_exits_two_naming_the_field(capsys, tmp_path, doc, argv, field):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *(a.format(file=bad) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: ") and field in err
 
 
 def test_unknown_arch_flag_exits_two(capsys):

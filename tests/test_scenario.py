@@ -11,6 +11,7 @@ from mbplan.scenario import (
     NetworkScenario,
     ScenarioError,
     TopologyKind,
+    _MAX_H4,
     generate_topology,
     load_scenario,
     save_scenario,
@@ -44,11 +45,18 @@ def test_validate_degenerate_minimum():
         (dict(h4=10, h3=2, h12=1, a4_gbps=1.0, eta=0.5, fanout_m=0), "fanout_m"),
         (dict(h4=10, h3=2, h12=1, a4_gbps=1.0, eta=0.5, link_length_km=0), "link_length_km"),
         (dict(h4=0, h3=1, h12=1, a4_gbps=1.0, eta=0.5), "h4"),
+        (dict(h4=_MAX_H4 + 1, h3=1, h12=1, a4_gbps=1.0, eta=0.5), "h4 must be at most"),
+        (dict(h4=10**12, h3=2, h12=1, a4_gbps=1.0, eta=0.5), "h4 must be at most"),
     ],
 )
 def test_validate_rejects_bad_fields(kwargs, message):
     with pytest.raises(ScenarioError, match=message):
         validate(NetworkScenario(**kwargs))
+
+
+def test_validate_accepts_h4_at_the_cap():
+    s = NetworkScenario(h4=_MAX_H4, h3=1, h12=1, a4_gbps=1.0, eta=0.5)
+    assert validate(s) is s
 
 
 def _scenario(**kwargs):
@@ -249,3 +257,4 @@ def test_fixtures_match_schema(data_dir):
         jsonschema.validate(json.loads((data_dir / name).read_text()), schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"h4": 1, "h3": 1, "h12": 1, "a4_gbps": 0, "eta": 0, "bogus": 1}, schema)
+    assert schema["properties"]["h4"]["maximum"] == _MAX_H4

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from mbplan.scenario import (
     NetworkScenario,
     Node,
     PhysicalTopology,
+    ScenarioError,
     generate_topology,
 )
 from mbplan.spectrum import (
@@ -18,6 +21,8 @@ from mbplan.spectrum import (
     RoutingError,
     SpectrumError,
     SpectrumPlan,
+    _MAX_BAND_CHANNELS,
+    _MAX_DEMAND_CHANNELS,
     _feasibility,
     assign_spectrum,
     band_width_thz,
@@ -35,7 +40,7 @@ from mbplan.spectrum import (
     width_thz,
 )
 from oracles import reference_assign_spectrum, reference_feasibility
-from strategies import PLANS, assignment_cases, c_first_plans, scenarios
+from strategies import PLANS, assignment_cases, c_first_plans, graph_cases, scenarios
 
 HL4, HL3, HL12 = HierarchyLevel.HL4, HierarchyLevel.HL3, HierarchyLevel.HL12
 
@@ -97,6 +102,19 @@ def test_computed_zero_width_band():
 def test_declared_mode_requires_counts():
     with pytest.raises(SpectrumError, match="declared"):
         SpectrumPlan(bands=(Band("C", 1530.0, 1565.0),), mode=PlanMode.DECLARED)
+
+
+def test_band_channel_cap():
+    # checked on the counts, before any mask of that many bits exists
+    c_band = Band("C", 1530.0, 1565.0, channel_count_declared=_MAX_BAND_CHANNELS)
+    assert channel_count(SpectrumPlan(bands=(c_band,)), "C") == _MAX_BAND_CHANNELS
+    for count in (_MAX_BAND_CHANNELS + 1, 10**12):
+        with pytest.raises(SpectrumError, match="band C: channel_count_declared"):
+            SpectrumPlan(bands=(Band("C", 1530.0, 1565.0, channel_count_declared=count),))
+    # 1e-300 gives a float ratio, 5e-324 an infinite one
+    for spacing in (1e-3, 1e-300, 5e-324):
+        with pytest.raises(SpectrumError, match="band C: grid_spacing_ghz"):
+            SpectrumPlan(bands=(c_band,), grid_spacing_ghz=spacing, mode=PlanMode.COMPUTED)
 
 
 def test_declared_defaults_fit_a_50ghz_grid(default_plan):
@@ -183,6 +201,18 @@ def test_zero_traffic_means_no_demands(benchmark_topology, benchmark_scenario):
     s = NetworkScenario(200, 40, 5, 0.0, 0.5)
     for arch in ArchitectureKind:
         assert demands_for(arch, s, benchmark_topology) == []
+
+
+@pytest.mark.parametrize("arch", ArchitectureKind)
+def test_demand_channel_cap(arch):
+    # two HL4s under one HL3: grooming adds an uplink of twice the HL4 channels
+    per_hl4 = _MAX_DEMAND_CHANNELS // (4 if arch is ArchitectureKind.GROOMING else 2)
+    s = NetworkScenario(h4=2, h3=1, h12=1, a4_gbps=400.0 * per_hl4, eta=1.0)
+    topology = generate_topology(s)
+    assert sum(d.channels for d in demands_for(arch, s, topology)) == _MAX_DEMAND_CHANNELS
+    for a4 in (400.0 * (per_hl4 + 1), 1e300):
+        with pytest.raises(ScenarioError, match="a4_gbps"):
+            demands_for(arch, replace(s, a4_gbps=a4), topology)
 
 
 # --- assignment --------------------------------------------------------------
@@ -352,11 +382,17 @@ def architecture_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(assignment_cases(), architecture_cases()))
+@given(st.one_of(assignment_cases(), architecture_cases(), graph_cases()))
 def test_assignment_matches_reference(case):
     plan, topo, demands = case
+    try:
+        lightpaths, blocked, occupied = reference_assign_spectrum(plan, topo, demands)
+    except RoutingError as expected:
+        with pytest.raises(RoutingError) as raised:
+            assign_spectrum(plan, topo, demands)
+        assert str(raised.value) == str(expected)
+        return
     result = assign_spectrum(plan, topo, demands)
-    lightpaths, blocked, occupied = reference_assign_spectrum(plan, topo, demands)
     assert result.lightpaths == lightpaths
     assert result.blocked == blocked
     assert set(result.occupancy) == {b.name for b in plan.bands}
