@@ -17,11 +17,8 @@ from .scenario import (
     TopologyKind,
     generate_topology,
     load_scenario,
-    save_scenario,
     scenario_from_json,
-    scenario_to_json,
     to_dict,
-    validate,
 )
 from .spectrum import (
     Band,

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 
 from .costing import CostModel, CostingError, cost, load_cost_model
@@ -57,17 +58,23 @@ def _num(value: float) -> str:
     return f"{value:g}"
 
 
-def _read(loader, path):
+@contextmanager
+def _file_at_fault(path, error):
+    """Name ``path`` in an ``error`` raised inside: the values of that input file caused it."""
     try:
-        return loader(path)
-    except (ScenarioError, SpectrumError, CostingError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc  # name the file at fault
+        yield
+    except error as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _load_inputs(args):
-    scenario = _read(load_scenario, args.scenario)
-    plan = _read(load_spectrum_plan, args.plan) if getattr(args, "plan", None) else default_spectrum_plan()
-    model = _read(load_cost_model, args.costs) if getattr(args, "costs", None) else CostModel()
+    plan_path, costs_path = getattr(args, "plan", None), getattr(args, "costs", None)
+    with _file_at_fault(args.scenario, ScenarioError):
+        scenario = load_scenario(args.scenario)
+    with _file_at_fault(plan_path, SpectrumError):
+        plan = load_spectrum_plan(plan_path) if plan_path else default_spectrum_plan()
+    with _file_at_fault(costs_path, CostingError):
+        model = load_cost_model(costs_path) if costs_path else CostModel()
     return scenario, plan, model
 
 
@@ -160,7 +167,9 @@ def render_comparison(report: ComparisonReport, show_footnotes: bool = True) -> 
 
 def cmd_compare(args) -> int:
     scenario, plan, model = _load_inputs(args)
-    report = build_comparison(scenario, plan, model, ptmp_count_mode=PtmpCountMode(args.ptmp_count_mode))
+    # the demand list's channel cap and a finite CAPEX are checked here, past loading
+    with _file_at_fault(args.scenario, ScenarioError), _file_at_fault(args.costs, CostingError):
+        report = build_comparison(scenario, plan, model, ptmp_count_mode=PtmpCountMode(args.ptmp_count_mode))
     if args.format == "json":
         doc = to_dict(report)
         if args.no_footnotes:
@@ -213,22 +222,26 @@ def cmd_sweep(args) -> int:
             raise ScenarioError(f"unknown architecture {name!r}") from None
     count_mode = PtmpCountMode(args.ptmp_count_mode)
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    points = [replace(scenario, **{field: value}) for value in values]  # checks every point first
     header = ["field", "value"]
     for arch in archs:
         header += [f"{arch.value}_total", f"{arch.value}_capex_cu"]
-    writer.writerow(header)
+    rows = [header]
     # only h4 of the sweepable fields changes the graph
     topology = None
-    for value in values:
-        point = replace(scenario, **{field: value})
-        row = [field, _num(value)]
-        if ArchitectureKind.PTMP in archs and (topology is None or field == "h4"):
-            topology = generate_topology(point)
-        for arch in archs:
-            result = dimension(point, arch, Mode.EXACT, ptmp_count_mode=count_mode, topology=topology)
-            capex = cost(result, model, point)
-            row += [str(int(result.total)), _cu(capex.total_cu)]
+    with _file_at_fault(args.costs, CostingError):
+        for value, point in zip(values, points):
+            row = [field, _num(value)]
+            if ArchitectureKind.PTMP in archs and (topology is None or field == "h4"):
+                topology = generate_topology(point)
+            for arch in archs:
+                result = dimension(point, arch, Mode.EXACT, ptmp_count_mode=count_mode, topology=topology)
+                capex = cost(result, model, point)
+                row += [str(int(result.total)), _cu(capex.total_cu)]
+            rows.append(row)
+    # written only once every row is costed: a point that fails prints nothing
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for row in rows:
         writer.writerow(row)
     return 0
 
@@ -239,7 +252,8 @@ def cmd_spectrum_check(args) -> int:
         plan = restrict_plan(plan, [b.strip() for b in args.bands.split(",")])
     arch = ArchitectureKind(args.arch)
     topology = generate_topology(scenario)
-    feas = feasibility_report(plan, topology, arch, scenario)
+    with _file_at_fault(args.scenario, ScenarioError):
+        feas = feasibility_report(plan, topology, arch, scenario)
     if args.format == "json":
         print(json.dumps(to_dict(feas), indent=2))
     else:

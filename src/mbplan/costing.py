@@ -16,6 +16,9 @@ from typing import Mapping
 from .dimensioning import ArchitectureKind, DimensioningResult, Mode
 from .scenario import NetworkScenario, read_record
 
+#: most routers one HL3 site may hold (keeps the router count a float)
+_MAX_ROUTERS_PER_HL3 = 1_000
+
 
 class CostingError(ValueError):
     """Raised for unusable cost inputs (approximate counts, bad model files)."""
@@ -34,6 +37,8 @@ class CostModel:
         for name in ("transponder_cu", "ptmp_module_cu", "router_large_cu", "routers_per_hl3"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise CostingError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if self.routers_per_hl3 > _MAX_ROUTERS_PER_HL3:
+            raise CostingError(f"routers_per_hl3 must be at most {_MAX_ROUTERS_PER_HL3}, got {self.routers_per_hl3}")
 
 
 @dataclass(frozen=True)
@@ -68,15 +73,22 @@ class CostReport:
         raise CostingError(f"no savings pair ({baseline.value} -> {alternative.value}) in report")
 
 
+def _unit_price(arch: ArchitectureKind) -> str:
+    return "ptmp_module_cu" if arch is ArchitectureKind.PTMP else "transponder_cu"
+
+
 def cost(result: DimensioningResult, model: CostModel, scenario: NetworkScenario) -> ArchitectureCost:
     """CAPEX of one exact dimensioning result under the cost model."""
     if result.mode is not Mode.EXACT:
         raise CostingError("costing requires exact-mode counts (hardware is integral)")
-    unit = model.ptmp_module_cu if result.arch is ArchitectureKind.PTMP else model.transponder_cu
-    transceiver = result.total * unit
+    unit = _unit_price(result.arch)
+    transceiver = result.total * getattr(model, unit)
     router = 0.0
     if result.arch is ArchitectureKind.GROOMING:
         router = scenario.h3 * model.routers_per_hl3 * model.router_large_cu
+    if not math.isfinite(transceiver + router):
+        price = unit if not math.isfinite(transceiver) else "router_large_cu"
+        raise CostingError(f"{price} {getattr(model, price):g} gives a CAPEX too large to represent")
     return ArchitectureCost(
         arch=result.arch,
         transceiver_count=int(result.total),
@@ -91,6 +103,16 @@ def _savings_pct(base: float, alt: float) -> float:
     if base == 0:
         return 0.0
     return (base - alt) / base * 100.0
+
+
+def _cost_savings_pct(base: ArchitectureCost, alt: ArchitectureCost, model: CostModel) -> float:
+    pct = _savings_pct(base.total_cu, alt.total_cu)
+    if not math.isfinite(pct):
+        # a baseline priced near zero against a costly alternative overflows the ratio
+        price = _unit_price(base.arch) if base.transceiver_cost_cu >= base.router_cost_cu else "router_large_cu"
+        raise CostingError(f"{price} {getattr(model, price):g} gives {base.arch.value} a CAPEX too small "
+                           f"to measure {alt.arch.value} savings against")
+    return pct
 
 
 def compare(
@@ -112,7 +134,7 @@ def compare(
                     baseline=base_arch,
                     alternative=alt_arch,
                     transponder_savings_pct=_savings_pct(base.total, alt.total),
-                    cost_savings_pct=_savings_pct(costs[base_arch].total_cu, costs[alt_arch].total_cu),
+                    cost_savings_pct=_cost_savings_pct(costs[base_arch], costs[alt_arch], model),
                 )
             )
     return CostReport(costs=costs, savings=tuple(pairs))

@@ -25,7 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from .scenario import HierarchyLevel, NetworkScenario, PhysicalTopology, validate
+from .scenario import HierarchyLevel, NetworkScenario, PhysicalTopology
 
 
 class DimensioningError(ValueError):
@@ -121,7 +121,6 @@ def dimension(
     ptmp counting needs the physical topology: hub modules pool the
     aggregate traffic of the HL4 nodes attached to each HL12.
     """
-    validate(s)
     count_mode = None
     if mode is Mode.APPROXIMATE:
         per_level, total = {}, CLOSED_FORMS[kind](s)
@@ -171,7 +170,7 @@ def _ptmp_counts(
             )
         hl4 = channels_needed(s.a4_gbps, s.channel_rate_gbps) * s.h4
         hl12 = sum(
-            channels_needed(spokes * s.a4_gbps, s.channel_rate_gbps)
+            channels_needed(spokes * Fraction(s.a4_gbps), s.channel_rate_gbps)
             for spokes in topology.spokes_per_hub().values()
         )
     return {HierarchyLevel.HL4: hl4, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: hl12}

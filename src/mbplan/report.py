@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .costing import CostModel, CostReport, compare
 from .dimensioning import ArchitectureKind, DimensioningResult, PtmpCountMode, dimension
-from .scenario import NetworkScenario, PhysicalTopology, generate_topology, validate
+from .scenario import NetworkScenario, PhysicalTopology, generate_topology
 from .spectrum import (
     FeasibilityReport,
     SpectrumPlan,
@@ -77,7 +77,6 @@ def build_comparison(
     C-only run: the C-only report is read off the full run's C-band occupancy.
     Otherwise RSA runs a second time on the C-only plan.
     """
-    validate(scenario)
     plan = plan if plan is not None else default_spectrum_plan()
     cost_model = cost_model if cost_model is not None else CostModel()
     topology = topology if topology is not None else generate_topology(scenario)

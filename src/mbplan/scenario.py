@@ -3,9 +3,10 @@
 A :class:`NetworkScenario` describes a three-tier metro/aggregation network:
 HL4 access nodes source the traffic, HL3 nodes optionally groom it, HL1/2
 nodes terminate it toward CDN/IXP peers. The scenario is the single input
-record for dimensioning, spectrum feasibility and costing; this module
-validates it, turns it into a :class:`PhysicalTopology` (tree or ring) and
-reads/writes the scenario JSON format (strict: unknown fields are rejected).
+record for dimensioning, spectrum feasibility and costing; it checks itself
+when it is built, so an invalid scenario cannot exist. This module turns it
+into a :class:`PhysicalTopology` (tree or ring) and reads the scenario JSON
+format (strict: unknown fields are rejected).
 It also holds the strict JSON record reader and the ``to_dict`` serialiser
 that every input file and result type goes through.
 """
@@ -14,8 +15,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from types import UnionType
@@ -25,6 +28,15 @@ R = TypeVar("R")
 
 #: most HL4 nodes a scenario may ask for, checked before any node is generated
 _MAX_H4 = 100_000
+
+#: most channels one HL4, or one demand list, may ask for (RSA time and the blocked list grow with it)
+_MAX_DEMAND_CHANNELS = 1_000_000
+
+#: slowest line rate, so that a slice C/m of it and the closed forms stay normal floats
+_MIN_CHANNEL_RATE_GBPS = 1.0
+
+#: widest point-to-multipoint fan-out 1:m
+_MAX_FANOUT = 1024
 
 
 class ScenarioError(ValueError):
@@ -60,42 +72,42 @@ class NetworkScenario:
     topology_kind: TopologyKind = TopologyKind.TREE
     link_length_km: float = 50.0
 
+    def __post_init__(self):
+        """Check every invariant; raises :class:`ScenarioError` naming the first offending field."""
+        for name in ("h4", "h3", "h12"):
+            if _require_count(name, getattr(self, name)) < 1:
+                raise ScenarioError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.h4 > _MAX_H4:
+            raise ScenarioError(f"h4 must be at most {_MAX_H4}, got {self.h4}")
+        if self.h3 > self.h4:
+            raise ScenarioError(f"h3 exceeds h4 (h3={self.h3}, h4={self.h4})")
+        if self.h12 > self.h3:
+            raise ScenarioError(f"h12 exceeds h3 (h12={self.h12}, h3={self.h3})")
+        if not 0 <= self.a4_gbps < math.inf:
+            raise ScenarioError(f"a4_gbps must be non-negative and finite, got {self.a4_gbps}")
+        if not 0.0 <= self.eta <= 1.0:
+            raise ScenarioError(f"eta out of range: {self.eta} (expected 0 <= eta <= 1)")
+        if not 0 < self.channel_rate_gbps < math.inf:
+            raise ScenarioError(f"channel_rate_gbps must be positive and finite, got {self.channel_rate_gbps}")
+        if self.channel_rate_gbps < _MIN_CHANNEL_RATE_GBPS:
+            raise ScenarioError(f"channel_rate_gbps must be at least {_MIN_CHANNEL_RATE_GBPS:g}, "
+                                f"got {self.channel_rate_gbps}")
+        if Fraction(self.a4_gbps) > _MAX_DEMAND_CHANNELS * Fraction(self.channel_rate_gbps):
+            raise ScenarioError(f"a4_gbps {self.a4_gbps:g} needs more than {_MAX_DEMAND_CHANNELS} channels per HL4")
+        if _require_count("fanout_m", self.fanout_m) < 1:
+            raise ScenarioError(f"fanout_m must be >= 1, got {self.fanout_m}")
+        if self.fanout_m > _MAX_FANOUT:
+            raise ScenarioError(f"fanout_m must be at most {_MAX_FANOUT}, got {self.fanout_m}")
+        if not isinstance(self.topology_kind, TopologyKind):
+            raise ScenarioError(f"topology_kind must be a TopologyKind, got {self.topology_kind!r}")
+        if not 0 < self.link_length_km < math.inf:
+            raise ScenarioError(f"link_length_km must be positive and finite, got {self.link_length_km}")
+
 
 def _require_count(name: str, value: object) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{name} must be a positive integer, got {value!r}")
     return value
-
-
-def validate(scenario: NetworkScenario) -> NetworkScenario:
-    """Check every scenario invariant; return the scenario unchanged.
-
-    Raises :class:`ScenarioError` naming the first offending field.
-    """
-    for name in ("h4", "h3", "h12"):
-        if _require_count(name, getattr(scenario, name)) < 1:
-            raise ScenarioError(f"{name} must be >= 1, got {getattr(scenario, name)}")
-    if scenario.h4 > _MAX_H4:
-        raise ScenarioError(f"h4 must be at most {_MAX_H4}, got {scenario.h4}")
-    if scenario.h3 > scenario.h4:
-        raise ScenarioError(f"h3 exceeds h4 (h3={scenario.h3}, h4={scenario.h4})")
-    if scenario.h12 > scenario.h3:
-        raise ScenarioError(f"h12 exceeds h3 (h12={scenario.h12}, h3={scenario.h3})")
-    if not 0 <= scenario.a4_gbps < math.inf:
-        raise ScenarioError(f"a4_gbps must be non-negative and finite, got {scenario.a4_gbps}")
-    if not 0.0 <= scenario.eta <= 1.0:
-        raise ScenarioError(f"eta out of range: {scenario.eta} (expected 0 <= eta <= 1)")
-    if not 0 < scenario.channel_rate_gbps < math.inf:
-        raise ScenarioError(
-            f"channel_rate_gbps must be positive and finite, got {scenario.channel_rate_gbps}"
-        )
-    if _require_count("fanout_m", scenario.fanout_m) < 1:
-        raise ScenarioError(f"fanout_m must be >= 1, got {scenario.fanout_m}")
-    if not isinstance(scenario.topology_kind, TopologyKind):
-        raise ScenarioError(f"topology_kind must be a TopologyKind, got {scenario.topology_kind!r}")
-    if not 0 < scenario.link_length_km < math.inf:
-        raise ScenarioError(f"link_length_km must be positive and finite, got {scenario.link_length_km}")
-    return scenario
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,6 @@ class PhysicalTopology:
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
-
-    def level_of(self, node_id: str) -> HierarchyLevel:
-        return self._levels[node_id]
 
     def nodes_at(self, level: HierarchyLevel) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.level is level)
@@ -212,7 +221,7 @@ class PhysicalTopology:
 
 
 def generate_topology(scenario: NetworkScenario) -> PhysicalTopology:
-    """Build the physical graph for a validated scenario.
+    """Build the physical graph of a scenario.
 
     Tree: HL4 ``i`` attaches to HL3 ``floor(i*h3/h4)`` and HL3 ``j`` to HL12
     ``floor(j*h12/h3)`` (round-robin balanced, children per parent differ by
@@ -221,7 +230,6 @@ def generate_topology(scenario: NetworkScenario) -> PhysicalTopology:
     A two-node "cycle" degenerates to a single link. Every link gets
     ``link_length_km``. Deterministic: equal scenarios give equal topologies.
     """
-    validate(scenario)
     length = scenario.link_length_km
     hl12_ids = [f"hl12-{k}" for k in range(scenario.h12)]
     hl3_ids = [f"hl3-{j}" for j in range(scenario.h3)]
@@ -302,9 +310,9 @@ def _read_object(raw: object, cls: type[R], error: type[ValueError], label: str)
 def _read_value(hint: object, value: object, name: str, error: type[ValueError]) -> object:
     """One field's value under its declared type.
 
-    ``int`` rejects bools and accepts integral floats; ``float`` rejects
-    bools and non-finite values; ``X | None`` accepts null; an Enum is
-    looked up by value; ``str`` must be a string; ``tuple[D, ...]`` of a
+    ``int`` rejects bools and accepts integral floats; ``float`` rejects bools
+    and values past the finite float range; ``X | None`` accepts null; an Enum
+    is looked up by value; ``str`` must be a string; ``tuple[D, ...]`` of a
     dataclass ``D`` is a list of objects, each read as ``d #i``.
     """
     if get_origin(hint) is UnionType:
@@ -333,7 +341,8 @@ def _read_value(hint: object, value: object, name: str, error: type[ValueError])
             raise error(f"{name} must be an integer, got {value!r}")
         return int(value)
     if hint is float:
-        if not number or not math.isfinite(value):
+        # compared, not converted: an integer past the float range has no float
+        if not number or not -sys.float_info.max <= value <= sys.float_info.max:
             raise error(f"{name} must be a finite number, got {value!r}")
         return float(value)
     raise TypeError(f"{name}: unsupported field type {hint!r}")
@@ -361,17 +370,9 @@ def _json_native(value: object) -> object:
 
 
 def scenario_from_json(text: str) -> NetworkScenario:
-    """Parse and validate a scenario JSON document (strict)."""
-    return validate(read_record(text, NetworkScenario, ScenarioError))
-
-
-def scenario_to_json(scenario: NetworkScenario) -> str:
-    return json.dumps(to_dict(scenario), indent=2) + "\n"
+    """Parse a scenario JSON document (strict)."""
+    return read_record(text, NetworkScenario, ScenarioError)
 
 
 def load_scenario(path: str | Path) -> NetworkScenario:
     return scenario_from_json(Path(path).read_text(encoding="utf-8"))
-
-
-def save_scenario(scenario: NetworkScenario, path: str | Path) -> None:
-    Path(path).write_text(scenario_to_json(scenario), encoding="utf-8")

@@ -23,7 +23,6 @@ Occupancy is one bitmask per band and link; first fit takes the lowest free bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .dimensioning import ArchitectureKind, channels_needed, grooming_uplink_channels
 from .scenario import (
-    HierarchyLevel, NetworkScenario, PhysicalTopology, ScenarioError, read_record, to_dict, validate,
+    _MAX_DEMAND_CHANNELS, HierarchyLevel, NetworkScenario, PhysicalTopology, ScenarioError, read_record,
 )
 
 #: speed of light in nm*THz (c = 299792458 m/s)
@@ -45,9 +44,6 @@ DEFAULT_GRID_SPACING_GHZ = 50.0
 #: most channels one band may hold, declared or computed (one occupancy bit each per link)
 _MAX_BAND_CHANNELS = 100_000
 
-#: most channels one demand list may ask for (RSA time and the blocked list grow with it)
-_MAX_DEMAND_CHANNELS = 1_000_000
-
 
 class SpectrumError(ValueError):
     """Raised for invalid band/plan definitions or plan files."""
@@ -55,14 +51,6 @@ class SpectrumError(ValueError):
 
 class RoutingError(ValueError):
     """Raised when a demand is structurally unroutable (not mere blocking)."""
-
-
-def wavelength_to_thz(lambda_nm: float) -> float:
-    return SPEED_OF_LIGHT_NM_THZ / lambda_nm
-
-
-def thz_to_wavelength(freq_thz: float) -> float:
-    return SPEED_OF_LIGHT_NM_THZ / freq_thz
 
 
 def width_thz(lambda_min_nm: float, lambda_max_nm: float) -> float:
@@ -126,7 +114,7 @@ class SpectrumPlan:
     def __post_init__(self):
         object.__setattr__(self, "bands", tuple(self.bands))
         if not self.bands:
-            raise SpectrumError("spectrum plan needs at least one band")
+            raise SpectrumError("bands must hold at least one band")
         names = [b.name for b in self.bands]
         if len(set(names)) != len(names):
             raise SpectrumError(f"duplicate band names in plan: {names}")
@@ -156,11 +144,6 @@ class SpectrumPlan:
             if band.name == name:
                 return band
         raise SpectrumError(f"no band named {name!r} in plan")
-
-    def span_width_thz(self) -> float:
-        lo = min(b.lambda_min_nm for b in self.bands)
-        hi = max(b.lambda_max_nm for b in self.bands)
-        return width_thz(lo, hi)
 
 
 def channel_count(plan: SpectrumPlan, band: Band | str) -> int:
@@ -214,10 +197,6 @@ def spectrum_plan_from_json(text: str) -> SpectrumPlan:
     return read_record(text, SpectrumPlan, SpectrumError)
 
 
-def spectrum_plan_to_json(plan: SpectrumPlan) -> str:
-    return json.dumps(to_dict(plan), indent=2) + "\n"
-
-
 def load_spectrum_plan(path: str | Path) -> SpectrumPlan:
     return spectrum_plan_from_json(Path(path).read_text(encoding="utf-8"))
 
@@ -242,7 +221,6 @@ def demands_for(
     per-HL3 uplink demands of ceil((h4/h3)*eta*a4/C) channels to the hub.
     Zero-channel demands are dropped (a4=0 yields an empty list).
     """
-    validate(scenario)
     parents = topology.hl3_parent_map()
     hubs = topology.hl12_hub_map()
     grooming = arch is ArchitectureKind.GROOMING

@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import strategies as st
 
 from mbplan.scenario import (
-    HierarchyLevel, Link, NetworkScenario, Node, PhysicalTopology, TopologyKind, generate_topology,
+    HierarchyLevel, Link, NetworkScenario, Node, PhysicalTopology, TopologyKind, generate_topology, to_dict,
 )
 from mbplan.spectrum import Band, Demand, PlanMode, SpectrumPlan, default_bands
 
@@ -175,3 +175,61 @@ def graph_cases(draw):
         endpoints = st.sampled_from([n.id for n in nodes] + ["hl3-99"])
         demands.insert(draw(st.integers(0, len(demands))), Demand(draw(endpoints), draw(endpoints), 100.0, 1))
     return draw(PLANS), topology, demands
+
+
+# --- input documents for the CLI ---------------------------------------------
+
+#: JSON numbers over the whole range: subnormals, 1e308, NaN and Infinity, integers of 400 digits;
+#: the extremes also on their own, as a random float is seldom one
+NUMBERS = st.one_of(st.floats(), st.integers(-10**400, 10**400),
+                    st.sampled_from([5e-324, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308, 10**400]))
+#: JSON values that are not numbers
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+_DROP = object()
+
+
+def _small_or_over(small: int, cap: int):
+    """Numbers at most ``small`` or above ``cap``: a count the CLI accepts stays cheap to plan."""
+    return st.one_of(st.integers(-10**400, small), st.integers(cap + 1, 10**400),
+                     st.floats(max_value=small), st.floats(min_value=cap + 1))
+
+
+def _corrupt(draw, doc: dict, wild: dict) -> dict:
+    """``doc`` with up to two fields (or the stray ``bogus``) given a wild value or dropped.
+
+    ``wild`` maps a field to its own strategy of wild values; the others draw from NUMBERS and JUNK.
+    """
+    doc = dict(doc)
+    for name in draw(st.lists(st.sampled_from([*doc, "bogus"]), max_size=2, unique=True)):
+        value = draw(st.one_of(wild.get(name, NUMBERS), JUNK, st.just(_DROP)))
+        if value is _DROP:
+            doc.pop(name, None)
+        else:
+            doc[name] = value
+    return doc
+
+
+@st.composite
+def scenario_documents(draw, max_h4: int, h4_cap: int):
+    """Scenario objects, mostly sound; ``h4`` stays at most ``max_h4`` or above ``h4_cap``."""
+    return _corrupt(draw, to_dict(draw(scenarios(max_h4=max_h4))), {"h4": _small_or_over(max_h4, h4_cap)})
+
+
+@st.composite
+def plan_documents(draw, band_cap: int):
+    """Spectrum-plan objects, mostly sound; declared counts stay at most 1000 or above ``band_cap``."""
+    doc = to_dict(draw(st.one_of(PLANS, c_first_plans())))
+    wild_band = {"channel_count_declared": _small_or_over(1000, band_cap)}
+    doc["bands"] = [_corrupt(draw, band, wild_band) for band in doc["bands"]]
+    return _corrupt(draw, doc, {})
+
+
+@st.composite
+def cost_documents(draw):
+    """Cost-model objects: some of the four prices, mostly sound."""
+    doc = {name: draw(st.sampled_from(values)) for name, values in (
+        ("transponder_cu", [0.0, 12.0, 24.5]), ("ptmp_module_cu", [0.0, 12.0]),
+        ("router_large_cu", [0.0, 64.0]), ("routers_per_hl3", [0, 1, 3]),
+    ) if draw(st.booleans())}
+    return _corrupt(draw, doc, {})

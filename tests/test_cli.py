@@ -1,16 +1,22 @@
 import csv
 import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mbplan import cli
 from mbplan.cli import MAX_SWEEP_POINTS, _parse_vary, main
 from mbplan.costing import CostModel
 from mbplan.report import build_comparison
-from mbplan.scenario import ScenarioError, load_scenario, to_dict
-from mbplan.spectrum import default_spectrum_plan
+from mbplan.scenario import _MAX_H4, NetworkScenario, ScenarioError, load_scenario, to_dict
+from mbplan.spectrum import _MAX_BAND_CHANNELS, Band, SpectrumPlan, default_spectrum_plan
+from strategies import cost_documents, plan_documents, scenario_documents
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 BENCHMARK = str(DATA / "large_man.json")
@@ -114,11 +120,31 @@ def test_bad_input_value_exits_two_naming_the_field(capsys, tmp_path, kind, fiel
         assert "band #0: " in err
 
 
-@pytest.mark.parametrize("doc, argv, field", [
-    ({**SCENARIO_DOC, "h4": 1e12}, ("dimension", "{file}", "--arch", "continuum"), "h4"),
-    ({"mode": "computed", "grid_spacing_ghz": 1e-300, "bands": [BAND_DOC]},
-     ("spectrum-check", RING, "--plan", "{file}"), "grid_spacing_ghz"),
-], ids=["h4", "grid_spacing_ghz"])
+BIG_MAN = {"h4": 200, "h3": 40, "h12": 5, "a4_gbps": 300, "eta": 0.5}
+OVERSIZED = {
+    "h4": ({**SCENARIO_DOC, "h4": 1e12}, ("dimension", "{file}", "--arch", "continuum"), "h4"),
+    "grid_spacing_ghz": ({"mode": "computed", "grid_spacing_ghz": 1e-300, "bands": [BAND_DOC]},
+                         ("spectrum-check", RING, "--plan", "{file}"), "grid_spacing_ghz"),
+    "a4_gbps-ptmp": ({**SCENARIO_DOC, "a4_gbps": 1e308}, ("dimension", "{file}", "--arch", "ptmp"), "a4_gbps"),
+    "a4_gbps-compare": ({**SCENARIO_DOC, "a4_gbps": 1e308}, ("compare", "{file}"), "a4_gbps"),
+    "channel_rate_gbps": ({**SCENARIO_DOC, "channel_rate_gbps": 5e-324},
+                          ("dimension", "{file}", "--arch", "ptmp", "--mode", "approximate"), "channel_rate_gbps"),
+    "fanout_m": ({**SCENARIO_DOC, "fanout_m": 10**400}, ("compare", "{file}", "--ptmp-count-mode", "formula"),
+                 "fanout_m"),
+    "a4_gbps-sweep": ({**BIG_MAN, "a4_gbps": 1e308, "eta": 1},
+                      ("sweep", "{file}", "--arch", "grooming", "--vary", "eta=0:1:0.5"), "a4_gbps"),
+    # each HL4 fits the per-HL4 cap, the demand list of 50 does not
+    "a4_gbps-demands": ({**SCENARIO_DOC, "h4": 50, "a4_gbps": 1e6, "channel_rate_gbps": 1},
+                        ("spectrum-check", "{file}"), "a4_gbps"),
+    "routers_per_hl3": ({"routers_per_hl3": 10**400}, ("compare", BENCHMARK, "--costs", "{file}"), "routers_per_hl3"),
+    "transponder_cu-compare": ({"transponder_cu": 1e308}, ("compare", BENCHMARK, "--costs", "{file}", "--format", "json"),
+                               "transponder_cu"),
+    "transponder_cu-sweep": ({"transponder_cu": 1e308},
+                             ("sweep", BENCHMARK, "--costs", "{file}", "--vary", "a4_gbps=0:100:100"), "transponder_cu"),
+}
+
+
+@pytest.mark.parametrize("doc, argv, field", OVERSIZED.values(), ids=OVERSIZED.keys())
 def test_oversized_input_exits_two_naming_the_field(capsys, tmp_path, doc, argv, field):
     bad = tmp_path / "big.json"
     bad.write_text(json.dumps(doc))
@@ -248,7 +274,9 @@ def test_sweep_bad_specs_exit_two(capsys, vary):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("vary", ["a4_gbps=0:inf:1", "eta=0:nan:1", "eta=-inf:1:0.5", "h4=1:2:inf"])
+# the last two have valid first points: nothing may be printed before the bad one
+@pytest.mark.parametrize("vary", ["a4_gbps=0:inf:1", "eta=0:nan:1", "eta=-inf:1:0.5", "h4=1:2:inf",
+                                  "eta=0.5:1.5:0.5", "h4=99990:100010:10"])
 def test_sweep_non_finite_range_exits_two(capsys, vary):
     code, out, err = run(capsys, "sweep", BENCHMARK, "--vary", vary)
     assert code == 2 and out == ""
@@ -327,3 +355,71 @@ def test_commands_are_deterministic(capsys, argv):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+# --- any input file ------------------------------------------------------------
+
+def _names(*classes):
+    return {f.name for cls in classes for f in fields(cls)} | {"bogus"}
+
+
+#: what an error may name as the field at fault; "band #i" names an entry of ``bands``
+FILE_FIELDS = {"scenario": _names(NetworkScenario), "plan": _names(SpectrumPlan, Band) | {"band #"},
+               "costs": _names(CostModel)}
+ARCHS = st.sampled_from(["grooming", "continuum", "ptmp"])
+COUNT_MODES = st.sampled_from(["worked-example", "formula"])
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand, its flags, and the documents of the input files it reads (a plan or
+    cost file left out means the built-in default)."""
+    command = draw(st.sampled_from(["dimension", "compare", "sweep", "spectrum-check"]))
+    docs = {"scenario": draw(scenario_documents(max_h4=50, h4_cap=_MAX_H4)),
+            "plan": draw(st.none() | plan_documents(band_cap=_MAX_BAND_CHANNELS)),
+            "costs": draw(st.none() | cost_documents())}
+    if command == "dimension":
+        flags = ["--arch", draw(ARCHS), "--mode", draw(st.sampled_from(["exact", "approximate"])),
+                 "--format", draw(st.sampled_from(["table", "csv", "json"]))]
+    elif command == "sweep":
+        # every point of these ranges is sound whenever the scenario is
+        flags = ["--vary", draw(st.sampled_from(["eta=0:1:0.5", "a4_gbps=0:800:400", "fanout_m=1:3:1", "h4=50:52:1"]))]
+    else:
+        flags = ["--format", draw(st.sampled_from(["table", "json"]))]
+        flags += ["--arch", draw(ARCHS)] if command == "spectrum-check" else []
+    if command != "spectrum-check":
+        flags += ["--ptmp-count-mode", draw(COUNT_MODES)]
+    reads = {"dimension": (), "compare": ("plan", "costs"), "sweep": ("costs",), "spectrum-check": ("plan",)}[command]
+    docs = {kind: doc for kind, doc in docs.items() if kind == "scenario" or kind in reads and doc is not None}
+    return command, flags, docs
+
+
+COMPARE_JSON = ["--format", "json", "--ptmp-count-mode", "worked-example"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(run=cli_runs())
+@example(run=("compare", COMPARE_JSON, {"scenario": {**SCENARIO_DOC, "a4_gbps": 1e308}}))
+@example(run=("compare", COMPARE_JSON, {"scenario": SCENARIO_DOC, "costs": {"transponder_cu": 1e308}}))
+@example(run=("compare", COMPARE_JSON, {"scenario": SCENARIO_DOC, "costs": {"transponder_cu": 5e-324, "routers_per_hl3": 0}}))
+def test_any_input_exits_zero_or_two(tmp_path_factory, run):
+    command, flags, docs = run
+    folder = tmp_path_factory.mktemp("inputs")
+    paths = {kind: folder / f"{kind}.json" for kind in docs}
+    for kind, doc in docs.items():
+        paths[kind].write_text(json.dumps(doc))
+    argv = [command, str(paths["scenario"]), *flags]
+    for kind in ("plan", "costs"):
+        argv += [f"--{kind}", str(paths[kind])] if kind in paths else []
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == ""
+        at_fault = [kind for kind, path in paths.items() if err.startswith(f"error: {path}: ")]
+        assert at_fault, err
+        assert any(name in err for name in FILE_FIELDS[at_fault[0]]), err
+    else:
+        assert not re.search(r"\b(inf|infinity|nan)\b", out, re.IGNORECASE), out

@@ -91,6 +91,13 @@ def test_all_zero_scenario_saves_zero_percent():
         assert pair.transponder_savings_pct == 0.0
 
 
+def test_savings_against_a_near_zero_baseline_name_its_price(benchmark_scenario, benchmark_topology):
+    # 560 x 5e-324 CU of grooming against 350 x 12 CU of ptmp modules overflows the percentage
+    model = CostModel(transponder_cu=5e-324, routers_per_hl3=0)
+    with pytest.raises(CostingError, match="transponder_cu 4.94066e-324 gives grooming a CAPEX too small"):
+        compare(_benchmark_results(benchmark_scenario, benchmark_topology), model, benchmark_scenario)
+
+
 def test_compare_needs_two_architectures(benchmark_scenario):
     with pytest.raises(CostingError, match="at least 2"):
         compare({GROOM: dimension(benchmark_scenario, GROOM)}, CostModel(), benchmark_scenario)

@@ -1,6 +1,7 @@
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,14 @@ from mbplan.scenario import (
     NetworkScenario,
     ScenarioError,
     TopologyKind,
+    _MAX_DEMAND_CHANNELS,
+    _MAX_FANOUT,
     _MAX_H4,
+    _MIN_CHANNEL_RATE_GBPS,
     generate_topology,
     load_scenario,
-    save_scenario,
     scenario_from_json,
-    scenario_to_json,
-    validate,
+    to_dict,
 )
 from mbplan.spectrum import Band, SpectrumError, SpectrumPlan, default_bands
 from oracles import nearest_hl12
@@ -25,12 +27,13 @@ from strategies import scenarios
 
 
 def test_validate_benchmark_parameters(benchmark_scenario):
-    assert validate(benchmark_scenario) == benchmark_scenario
+    # replace builds a new scenario, so it runs the checks again
+    assert replace(benchmark_scenario) == benchmark_scenario
 
 
 def test_validate_degenerate_minimum():
     s = NetworkScenario(h4=1, h3=1, h12=1, a4_gbps=0.0, eta=0.0)
-    assert validate(s) is s
+    assert (s.h4, s.h3, s.h12) == (1, 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -47,20 +50,40 @@ def test_validate_degenerate_minimum():
         (dict(h4=0, h3=1, h12=1, a4_gbps=1.0, eta=0.5), "h4"),
         (dict(h4=_MAX_H4 + 1, h3=1, h12=1, a4_gbps=1.0, eta=0.5), "h4 must be at most"),
         (dict(h4=10**12, h3=2, h12=1, a4_gbps=1.0, eta=0.5), "h4 must be at most"),
+        (dict(h4=10, h3=2, h12=1, a4_gbps=1.0, eta=0.5, fanout_m=_MAX_FANOUT + 1), "fanout_m must be at most"),
+        (dict(h4=10, h3=2, h12=1, a4_gbps=1.0, eta=0.5, fanout_m=10**400), "fanout_m must be at most"),
+        (dict(h4=10, h3=2, h12=1, a4_gbps=0.0, eta=0.5, channel_rate_gbps=0.5), "channel_rate_gbps must be at least"),
+        (dict(h4=10, h3=2, h12=1, a4_gbps=0.0, eta=0.5, channel_rate_gbps=5e-324), "channel_rate_gbps must be at least"),
+        (dict(h4=10, h3=2, h12=1, a4_gbps=400.0 * _MAX_DEMAND_CHANNELS + 1, eta=0.5), "a4_gbps .* per HL4"),
+        (dict(h4=10, h3=2, h12=1, a4_gbps=1e308, eta=0.5), "a4_gbps .* per HL4"),
     ],
 )
 def test_validate_rejects_bad_fields(kwargs, message):
     with pytest.raises(ScenarioError, match=message):
-        validate(NetworkScenario(**kwargs))
+        NetworkScenario(**kwargs)
 
 
 def test_validate_accepts_h4_at_the_cap():
     s = NetworkScenario(h4=_MAX_H4, h3=1, h12=1, a4_gbps=1.0, eta=0.5)
-    assert validate(s) is s
+    assert s.h4 == _MAX_H4
+
+
+def test_scenario_accepts_values_at_the_bounds():
+    s = NetworkScenario(h4=1, h3=1, h12=1, a4_gbps=_MAX_DEMAND_CHANNELS * _MIN_CHANNEL_RATE_GBPS, eta=1.0,
+                        channel_rate_gbps=_MIN_CHANNEL_RATE_GBPS, fanout_m=_MAX_FANOUT)
+    assert (s.channel_rate_gbps, s.fanout_m) == (_MIN_CHANNEL_RATE_GBPS, _MAX_FANOUT)
+    # a4 / C is compared exactly: 1e308 Gb/s is one channel at a 1e308 Gb/s line rate
+    NetworkScenario(h4=1, h3=1, h12=1, a4_gbps=1e308, eta=1.0, channel_rate_gbps=1e308)
+
+
+def test_replace_checks_the_new_scenario(benchmark_scenario):
+    for field, value in (("eta", 1.5), ("h4", _MAX_H4 + 1), ("fanout_m", 0)):
+        with pytest.raises(ScenarioError, match=field):
+            replace(benchmark_scenario, **{field: value})
 
 
 def _scenario(**kwargs):
-    return validate(NetworkScenario(**{"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100.0, "eta": 0.5, **kwargs}))
+    return NetworkScenario(**{"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100.0, "eta": 0.5, **kwargs})
 
 
 def _band(**kwargs):
@@ -178,7 +201,7 @@ def test_every_hl4_reaches_an_hl12(s):
     hubs = topo.hl12_hub_map()
     for hl4 in topo.nodes_at(HierarchyLevel.HL4):
         hub = hubs[parents[hl4]]
-        assert topo.level_of(hub) is HierarchyLevel.HL12
+        assert hub in topo.nodes_at(HierarchyLevel.HL12)
 
 
 @settings(max_examples=200)
@@ -191,7 +214,7 @@ def test_hub_map_matches_per_hl3_search(s):
 @settings(max_examples=150)
 @given(scenarios())
 def test_scenario_json_round_trip(s):
-    assert scenario_from_json(scenario_to_json(s)) == s
+    assert scenario_from_json(json.dumps(to_dict(s))) == s
 
 
 def test_load_benchmark_file(benchmark_scenario):
@@ -246,7 +269,7 @@ def test_bad_topology_kind_rejected():
 
 def test_save_then_load(tmp_path, benchmark_scenario):
     path = tmp_path / "s.json"
-    save_scenario(benchmark_scenario, path)
+    path.write_text(json.dumps(to_dict(benchmark_scenario)), encoding="utf-8")
     assert load_scenario(path) == benchmark_scenario
 
 
@@ -257,4 +280,7 @@ def test_fixtures_match_schema(data_dir):
         jsonschema.validate(json.loads((data_dir / name).read_text()), schema)
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"h4": 1, "h3": 1, "h12": 1, "a4_gbps": 0, "eta": 0, "bogus": 1}, schema)
-    assert schema["properties"]["h4"]["maximum"] == _MAX_H4
+    properties = schema["properties"]
+    assert properties["h4"]["maximum"] == _MAX_H4
+    assert properties["fanout_m"]["maximum"] == _MAX_FANOUT
+    assert properties["channel_rate_gbps"]["minimum"] == _MIN_CHANNEL_RATE_GBPS
