@@ -20,6 +20,7 @@ ceilings (and, for grooming, part of the HL3 term) and are never costed.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -76,7 +77,7 @@ class DimensioningResult:
             )
 
 
-def channels_needed(traffic_gbps: float, channel_rate_gbps: float) -> int:
+def channels_needed(traffic_gbps: float | Fraction, channel_rate_gbps: float) -> int:
     """Smallest channel count carrying ``traffic_gbps`` at the line rate.
 
     Exact rational arithmetic so that exact multiples never tip over a
@@ -89,10 +90,7 @@ def channels_needed(traffic_gbps: float, channel_rate_gbps: float) -> int:
 
 def grooming_uplink_channels(s: NetworkScenario) -> int:
     """Channels each HL3 provisions toward its HL12: ceil((h4/h3)*eta*a4/C)."""
-    load = Fraction(s.h4, s.h3) * Fraction(s.eta) * Fraction(s.a4_gbps)
-    if load <= 0:
-        return 0
-    return math.ceil(load / Fraction(s.channel_rate_gbps))
+    return channels_needed(Fraction(s.h4, s.h3) * Fraction(s.eta) * Fraction(s.a4_gbps), s.channel_rate_gbps)
 
 
 #: approximate-mode totals: the closed forms, without ceilings
@@ -157,20 +155,18 @@ def _ptmp_counts(
     """Spoke (HL4) and hub (HL12) module counts under ``count_mode``."""
     m = s.fanout_m
     if count_mode is PtmpCountMode.FORMULA:
-        slices = math.ceil(Fraction(s.a4_gbps) * m / Fraction(s.channel_rate_gbps)) if s.a4_gbps > 0 else 0
-        hl4 = slices * s.h4
-        hl12 = math.ceil(Fraction(hl4, m)) if hl4 else 0
+        hl4 = channels_needed(Fraction(s.a4_gbps) * m, s.channel_rate_gbps) * s.h4
+        hl12 = math.ceil(Fraction(hl4, m))
     else:
         if topology is None:
             raise DimensioningError("worked-example ptmp counting requires a physical topology")
-        n_hl4 = len(topology.nodes_at(HierarchyLevel.HL4))
-        if n_hl4 != s.h4:
-            raise DimensioningError(
-                f"topology has {n_hl4} HL4 nodes but scenario declares h4={s.h4}"
-            )
+        hl4s = topology.nodes_at(HierarchyLevel.HL4)
+        if len(hl4s) != s.h4:
+            raise DimensioningError(f"topology has {len(hl4s)} HL4 nodes but scenario declares h4={s.h4}")
+        parents, hubs = topology.hl3_parent_map(), topology.hl12_hub_map()
         hl4 = channels_needed(s.a4_gbps, s.channel_rate_gbps) * s.h4
         hl12 = sum(
             channels_needed(spokes * Fraction(s.a4_gbps), s.channel_rate_gbps)
-            for spokes in topology.spokes_per_hub().values()
+            for spokes in Counter(hubs[parents[node]] for node in hl4s).values()
         )
     return {HierarchyLevel.HL4: hl4, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: hl12}

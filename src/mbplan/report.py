@@ -88,14 +88,13 @@ def build_comparison(
     costs = compare(results, cost_model, scenario)
 
     demands = demands_for(ArchitectureKind.CONTINUUM, scenario, topology)
-    requested = sum(d.channels for d in demands)
     assignment = assign_spectrum(plan, topology, demands)
     c_band_only = None
     if any(b.name == "C" for b in plan.bands):
         c_plan = restrict_plan(plan, C_BAND_ONLY)
         c_assignment = assignment if plan.bands[0].name == "C" else assign_spectrum(c_plan, topology, demands)
-        c_band_only = _feasibility(c_plan, c_assignment, requested)
-    summary = SpectrumSummary(c_band_only=c_band_only, full_plan=_feasibility(plan, assignment, requested))
+        c_band_only = _feasibility(c_plan, c_assignment)
+    summary = SpectrumSummary(c_band_only=c_band_only, full_plan=_feasibility(plan, assignment))
     spectrum = {ArchitectureKind.CONTINUUM: summary, ArchitectureKind.PTMP: summary}
     return ComparisonReport(
         scenario=scenario,

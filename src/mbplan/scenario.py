@@ -162,15 +162,6 @@ class PhysicalTopology:
         """
         return dict(self._hubs)
 
-    def spokes_per_hub(self) -> dict[str, int]:
-        """Number of HL4 nodes whose traffic lands on each HL12 hub."""
-        parents = self.hl3_parent_map()
-        hubs = self.hl12_hub_map()
-        counts = {hl12: 0 for hl12 in self.nodes_at(HierarchyLevel.HL12)}
-        for hl4 in self.nodes_at(HierarchyLevel.HL4):
-            counts[hubs[parents[hl4]]] += 1
-        return counts
-
     @cached_property
     def _levels(self) -> dict[str, HierarchyLevel]:
         return {n.id: n.level for n in self.nodes}

@@ -7,18 +7,21 @@ reach limit: the short-wavelength bands see higher attenuation and are only
 attractive over short distances, so they default to finite reach while C and
 L are unlimited.
 
-Channel counts come in two modes. ``computed`` derives them from the band
-width and the grid spacing; ``declared`` uses a per-band override table.
-The shipped declared defaults total 900 channels with 80 in C; the split of
-the remaining 820 across O/E/S/L is proportional to the band widths
-(largest-remainder rounding) - a derived table, not a measured one.
+Channel counts come in two modes, both read by ``channel_count`` alone:
+``computed`` derives them from the band width and the grid spacing;
+``declared`` uses a per-band override table. The shipped declared defaults
+total 900 channels with 80 in C; the split of the remaining 820 across
+O/E/S/L is proportional to the band widths (largest-remainder rounding) - a
+derived table, not a measured one.
 
 ``assign_spectrum`` routes each demand on the hop-count shortest path
 (lexicographic tie-break) and first-fits a (band, channel) that is free on
 every link of the route - wavelength continuity, no conversion - scanning
 bands in plan order and skipping bands whose reach is shorter than the
-route. Channels that fit nowhere are reported as blocked, not raised.
-Occupancy is one bitmask per band and link; first fit takes the lowest free bit.
+route. Demands are in channels, which ``dimensioning.channels_needed`` counts
+from traffic; no rate reaches RSA. Channels that fit nowhere are reported as
+blocked, not raised. Occupancy is one bitmask per band and link; first fit
+takes the lowest free bit.
 """
 
 from __future__ import annotations
@@ -94,10 +97,6 @@ def band_width_thz(band: Band) -> float:
     return width_thz(band.lambda_min_nm, band.lambda_max_nm)
 
 
-def band_width_ghz(band: Band) -> float:
-    return band_width_thz(band) * 1000.0
-
-
 class PlanMode(str, Enum):
     COMPUTED = "computed"
     DECLARED = "declared"
@@ -124,20 +123,14 @@ class SpectrumPlan:
         for lo, hi in zip(by_edge, by_edge[1:]):
             if hi.lambda_min_nm < lo.lambda_max_nm:
                 raise SpectrumError(f"bands {lo.name} and {hi.name} overlap")
-        declared = self.mode is PlanMode.DECLARED
-        if declared:
+        if self.mode is PlanMode.DECLARED:
             missing = [b.name for b in self.bands if b.channel_count_declared is None]
             if missing:
                 raise SpectrumError(
                     f"declared mode needs channel_count_declared for band(s): {', '.join(missing)}"
                 )
         for band in self.bands:
-            # channel_count's floor passes the cap iff the ratio reaches cap + 1; an infinite ratio has no floor
-            count = band.channel_count_declared if declared else band_width_ghz(band) / self.grid_spacing_ghz + 1e-9
-            if count >= _MAX_BAND_CHANNELS + 1:
-                source = (f"channel_count_declared {band.channel_count_declared}" if declared
-                          else f"grid_spacing_ghz {self.grid_spacing_ghz:g}")
-                raise SpectrumError(f"band {band.name}: {source} gives more than {_MAX_BAND_CHANNELS} channels")
+            channel_count(self, band)
 
     def band(self, name: str) -> Band:
         for band in self.bands:
@@ -147,14 +140,17 @@ class SpectrumPlan:
 
 
 def channel_count(plan: SpectrumPlan, band: Band | str) -> int:
-    """Channels available in one band under the plan's counting mode."""
+    """Channels in one band under the plan's counting mode; more than ``_MAX_BAND_CHANNELS`` raises."""
     if isinstance(band, str):
         band = plan.band(band)
-    if plan.mode is PlanMode.DECLARED:
-        if band.channel_count_declared is None:
-            raise SpectrumError(f"band {band.name}: declared mode but no declared channel count")
-        return band.channel_count_declared
-    return int(math.floor(band_width_ghz(band) / plan.grid_spacing_ghz + 1e-9))
+    declared = plan.mode is PlanMode.DECLARED
+    # the floor passes the cap iff the ratio reaches cap + 1; an infinite ratio has no floor
+    count = band.channel_count_declared if declared else band_width_thz(band) * 1000.0 / plan.grid_spacing_ghz + 1e-9
+    if count >= _MAX_BAND_CHANNELS + 1:
+        source = (f"channel_count_declared {band.channel_count_declared}" if declared
+                  else f"grid_spacing_ghz {plan.grid_spacing_ghz:g}")
+        raise SpectrumError(f"band {band.name}: {source} gives more than {_MAX_BAND_CHANNELS} channels")
+    return math.floor(count)
 
 
 def total_channels(plan: SpectrumPlan) -> int:
@@ -203,11 +199,10 @@ def load_spectrum_plan(path: str | Path) -> SpectrumPlan:
 
 @dataclass(frozen=True)
 class Demand:
-    """One connectivity request: ``channels`` parallel carriers of the rate."""
+    """One connectivity request: ``channels`` parallel channels from source to dest."""
 
     source: str
     dest: str
-    rate_gbps: float
     channels: int
 
 
@@ -233,24 +228,22 @@ def demands_for(
     if n4:
         for hl4 in hl4s:
             dest = parents[hl4] if grooming else hubs[parents[hl4]]
-            demands.append(Demand(hl4, dest, scenario.a4_gbps, n4))
+            demands.append(Demand(hl4, dest, n4))
     if uplink:
-        groomed = (scenario.h4 / scenario.h3) * scenario.eta * scenario.a4_gbps
         for hl3 in hl3s:
-            demands.append(Demand(hl3, hubs[hl3], groomed, uplink))
+            demands.append(Demand(hl3, hubs[hl3], uplink))
     return demands
 
 
 @dataclass(frozen=True)
 class Lightpath:
-    """An all-optical channel holding one (band, channel) on every route link."""
+    """One placed channel of a demand: the same (band, channel) on every link of its route."""
 
     source: str
     dest: str
     route: tuple[tuple[str, str], ...]
     band: str
     channel: int
-    rate_gbps: float
     length_km: float
 
 
@@ -322,7 +315,6 @@ def assign_spectrum(
         route_km = sum(lengths[k] for k in keys)
         in_reach = [(band.name, occupancy[band.name]) for band in plan.bands
                     if band.reach_limit_km is None or band.reach_limit_km >= route_km]
-        per_carrier = demand.rate_gbps / demand.channels if demand.channels else 0.0
         for _ in range(demand.channels):
             for name, masks in in_reach:
                 free = full[name]
@@ -343,7 +335,6 @@ def assign_spectrum(
                     route=hops,
                     band=name,
                     channel=lowest.bit_length() - 1,
-                    rate_gbps=per_carrier,
                     length_km=route_km,
                 )
             )
@@ -373,12 +364,12 @@ def feasibility_report(
     scenario: NetworkScenario,
 ) -> FeasibilityReport:
     """Route and assign the architecture's demands; feasible iff none blocked."""
-    demands = demands_for(arch, scenario, topology)
-    return _feasibility(plan, assign_spectrum(plan, topology, demands), sum(d.channels for d in demands))
+    return _feasibility(plan, assign_spectrum(plan, topology, demands_for(arch, scenario, topology)))
 
 
-def _feasibility(plan: SpectrumPlan, assignment: SpectrumAssignment, requested: int) -> FeasibilityReport:
-    """Report on the plan's bands of ``assignment``; the rest of ``requested`` is blocked."""
+def _feasibility(plan: SpectrumPlan, assignment: SpectrumAssignment) -> FeasibilityReport:
+    """Report on the plan's bands of ``assignment``; each of its channels not placed in them is blocked."""
+    requested = len(assignment.lightpaths) + len(assignment.blocked)
     counts = {band.name: channel_count(plan, band) for band in plan.bands}
     # channels in use per band and link; every band's masks list the same links in the same order
     used = [[mask.bit_count() for mask in assignment.occupancy[name].values()] for name in counts]

@@ -11,6 +11,7 @@ the bitmask engine in ``mbplan.spectrum`` is checked against.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from fractions import Fraction
 
@@ -18,8 +19,13 @@ from mbplan.scenario import HierarchyLevel, NetworkScenario, PhysicalTopology
 from mbplan.spectrum import FeasibilityReport, Lightpath, RoutingError, channel_count
 
 
+@functools.cache
 def modules_one_by_one(traffic_gbps, unit_capacity) -> int:
-    """Provision units until the residual demand is covered."""
+    """Provision units until the residual demand is covered.
+
+    Cached: the oracles ask the same question once per node, and the answer
+    depends on the two numbers alone.
+    """
     residual = Fraction(traffic_gbps)
     capacity = Fraction(unit_capacity)
     count = 0
@@ -160,7 +166,7 @@ def _first_fit(plan, counts, occupied, keys, route_km):
 
 
 def reference_assign_spectrum(plan, topology, demands):
-    """First-fit RSA on per-link sets of (band, channel).
+    """First-fit RSA on per-link sets of (band, channel), one channel of a demand at a time.
 
     Returns ``(lightpaths, blocked, occupied)``, where ``occupied`` maps
     every link key to the set of (band, channel) pairs in use on it.
@@ -177,7 +183,6 @@ def reference_assign_spectrum(plan, topology, demands):
         hops = tuple(zip(path, path[1:]))
         keys = [(a, b) if a <= b else (b, a) for a, b in hops]
         route_km = sum(lengths[k] for k in keys)
-        per_carrier = demand.rate_gbps / demand.channels if demand.channels else 0.0
         for _ in range(demand.channels):
             slot = _first_fit(plan, counts, occupied, keys, route_km)
             if slot is None:
@@ -193,7 +198,6 @@ def reference_assign_spectrum(plan, topology, demands):
                     route=hops,
                     band=band_name,
                     channel=ch,
-                    rate_gbps=per_carrier,
                     length_km=route_km,
                 )
             )

@@ -149,7 +149,7 @@ def _routable_demands(draw, topology, most):
         i = draw(st.integers(0, len(ids) - 1))
         j = (i + draw(st.integers(1, len(ids) - 1))) % len(ids)
         channels = draw(st.integers(1, 3))
-        demands.append(Demand(ids[i], ids[j], 100.0 * channels, channels))
+        demands.append(Demand(ids[i], ids[j], channels))
     return demands
 
 
@@ -173,7 +173,7 @@ def graph_cases(draw):
     demands = _routable_demands(draw, topology, 6)
     if draw(st.booleans()):
         endpoints = st.sampled_from([n.id for n in nodes] + ["hl3-99"])
-        demands.insert(draw(st.integers(0, len(demands))), Demand(draw(endpoints), draw(endpoints), 100.0, 1))
+        demands.insert(draw(st.integers(0, len(demands))), Demand(draw(endpoints), draw(endpoints), 1))
     return draw(PLANS), topology, demands
 
 

@@ -44,6 +44,11 @@ def test_grooming_zero_traffic_is_all_zero():
     assert per_level(dimension(s, ArchitectureKind.GROOMING)) == (0, 0, 0)
 
 
+def test_ptmp_formula_zero_traffic_is_all_zero():
+    s = NetworkScenario(h4=7, h3=3, h12=2, a4_gbps=0.0, eta=0.5)
+    assert per_level(dimension(s, ArchitectureKind.PTMP, ptmp_count_mode=PtmpCountMode.FORMULA)) == (0, 0, 0)
+
+
 def test_continuum_benchmark(benchmark_scenario):
     r = dimension(benchmark_scenario, ArchitectureKind.CONTINUUM)
     assert per_level(r) == (200, 0, 200)

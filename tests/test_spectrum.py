@@ -105,8 +105,13 @@ def test_band_channel_cap():
     for count in (_MAX_BAND_CHANNELS + 1, 10**12):
         with pytest.raises(SpectrumError, match="band C: channel_count_declared"):
             SpectrumPlan(bands=(Band("C", 1530.0, 1565.0, channel_count_declared=count),))
-    # 1e-300 gives a float ratio, 5e-324 an infinite one
-    for spacing in (1e-3, 1e-300, 5e-324):
+    # a width/grid ratio 2e-9 below cap + 1 floors to the cap; 5e-10 below, within the 1e-9
+    # allowed for float rounding, it counts as cap + 1; 1e-300 gives a float ratio, 5e-324 an infinite one
+    width_ghz = band_width_thz(c_band) * 1000.0
+    computed = SpectrumPlan(bands=(c_band,), grid_spacing_ghz=width_ghz / (_MAX_BAND_CHANNELS + 1 - 2e-9),
+                            mode=PlanMode.COMPUTED)
+    assert channel_count(computed, "C") == _MAX_BAND_CHANNELS
+    for spacing in (width_ghz / (_MAX_BAND_CHANNELS + 1 - 5e-10), 1e-3, 1e-300, 5e-324):
         with pytest.raises(SpectrumError, match="band C: grid_spacing_ghz"):
             SpectrumPlan(bands=(c_band,), grid_spacing_ghz=spacing, mode=PlanMode.COMPUTED)
 
@@ -197,16 +202,31 @@ def test_zero_traffic_means_no_demands(benchmark_topology, benchmark_scenario):
         assert demands_for(arch, s, benchmark_topology) == []
 
 
-@pytest.mark.parametrize("arch", ArchitectureKind)
-def test_demand_channel_cap(arch):
-    # two HL4s under one HL3: grooming adds an uplink of twice the HL4 channels
-    per_hl4 = _MAX_DEMAND_CHANNELS // (4 if arch is ArchitectureKind.GROOMING else 2)
-    s = NetworkScenario(h4=2, h3=1, h12=1, a4_gbps=400.0 * per_hl4, eta=1.0)
+@pytest.mark.parametrize("arch, h3", [
+    *(pytest.param(arch, 1, id=arch.value) for arch in ArchitectureKind),
+    # one channel over the cap, the HL4 channels alone still fit; the uplinks of both HL3s do not
+    pytest.param(ArchitectureKind.GROOMING, 2, id="grooming-two-hl3s"),
+])
+def test_demand_channel_cap(arch, h3):
+    # two HL4s under each HL3: grooming adds per HL3 an uplink of twice the HL4 channels
+    per_hl4 = _MAX_DEMAND_CHANNELS // (2 * h3 * (2 if arch is ArchitectureKind.GROOMING else 1))
+    s = NetworkScenario(h4=2 * h3, h3=h3, h12=1, a4_gbps=400.0 * per_hl4, eta=1.0)
     topology = generate_topology(s)
     assert sum(d.channels for d in demands_for(arch, s, topology)) == _MAX_DEMAND_CHANNELS
     for a4 in (400.0 * (per_hl4 + 1), 1e300):
         with pytest.raises(ScenarioError, match="a4_gbps"):
             demands_for(arch, replace(s, a4_gbps=a4), topology)
+
+
+def test_grooming_demands_at_the_largest_rates(default_plan):
+    # traffic and line rate near the float maximum: the demands are whole channels, and all of them are placed
+    s = NetworkScenario(h4=50, h3=2, h12=1, a4_gbps=1e308, eta=1.0, channel_rate_gbps=1e308)
+    topology = generate_topology(s)
+    demands = demands_for(ArchitectureKind.GROOMING, s, topology)
+    assert [d.channels for d in demands] == [1] * 50 + [25, 25]
+    assert demands[-1] == Demand("hl3-1", "hl12-0", 25)
+    result = assign_spectrum(default_plan, topology, demands)
+    assert len(result.lightpaths) == 100 and result.blocked == []
 
 
 # --- assignment --------------------------------------------------------------
@@ -219,7 +239,7 @@ def two_node_link():
 
 def test_first_fit_on_empty_network(default_plan):
     topo = two_node_link()
-    result = assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl12-0", 400.0, 1)])
+    result = assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl12-0", 1)])
     assert len(result.lightpaths) == 1
     lp = result.lightpaths[0]
     assert (lp.band, lp.channel) == ("C", 0)
@@ -269,7 +289,7 @@ def test_reach_limit_skips_short_bands():
             Band("E", 1360.0, 1460.0, reach_limit_km=150.0, channel_count_declared=4),
         )
     )
-    result = assign_spectrum(plan, topo, [Demand("hl4-0", "hl12-0", 100.0, 1)])
+    result = assign_spectrum(plan, topo, [Demand("hl4-0", "hl12-0", 1)])
     assert result.lightpaths[0].band == "E"
     assert result.lightpaths[0].length_km == 120.0
 
@@ -279,7 +299,7 @@ def test_reach_limit_is_inclusive():
     nodes = (Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl4-0", HL4))
     links = (Link("hl4-0", "hl3-0", 50.0), Link("hl3-0", "hl12-0", 50.0))
     plan = SpectrumPlan(bands=(Band("O", 1260.0, 1360.0, reach_limit_km=100.0, channel_count_declared=1),))
-    result = assign_spectrum(plan, PhysicalTopology(nodes=nodes, links=links), [Demand("hl4-0", "hl12-0", 100.0, 1)])
+    result = assign_spectrum(plan, PhysicalTopology(nodes=nodes, links=links), [Demand("hl4-0", "hl12-0", 1)])
     assert [lp.band for lp in result.lightpaths] == ["O"]
 
 
@@ -292,7 +312,7 @@ def test_route_ties_break_lexicographically(default_plan):
         Link("hl3-0", "hl12-0", 50.0), Link("hl3-1", "hl12-0", 50.0),
     )
     topo = PhysicalTopology(nodes=nodes, links=links)
-    result = assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl12-0", 100.0, 1)])
+    result = assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl12-0", 1)])
     assert result.lightpaths[0].route == (("hl4-0", "hl3-0"), ("hl3-0", "hl12-0"))
 
 
@@ -301,15 +321,15 @@ def test_unreachable_destination_is_structural_error(default_plan):
     links = (Link("hl4-0", "hl12-0", 50.0),)
     topo = PhysicalTopology(nodes=nodes, links=links)
     with pytest.raises(RoutingError, match="no route"):
-        assign_spectrum(default_plan, topo, [Demand("hl4-1", "hl12-0", 100.0, 1)])
+        assign_spectrum(default_plan, topo, [Demand("hl4-1", "hl12-0", 1)])
     with pytest.raises(RoutingError, match="source equals destination"):
-        assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl4-0", 100.0, 1)])
+        assign_spectrum(default_plan, topo, [Demand("hl4-0", "hl4-0", 1)])
 
 
 def test_partial_blocking_conserves_channels():
     topo = two_node_link()
     plan = SpectrumPlan(bands=(Band("C", 1530.0, 1565.0, channel_count_declared=3),))
-    demands = [Demand("hl4-0", "hl12-0", 400.0, 2), Demand("hl12-0", "hl4-0", 400.0, 2)]
+    demands = [Demand("hl4-0", "hl12-0", 2), Demand("hl12-0", "hl4-0", 2)]
     result = assign_spectrum(plan, topo, demands)
     assert len(result.lightpaths) == 3
     assert len(result.blocked) == 1
@@ -397,7 +417,7 @@ def test_assignment_matches_reference(case):
     requested = sum(d.channels for d in demands)
     # the whole plan, and its first band alone read off the same occupancy
     for sub in (plan, restrict_plan(plan, [plan.bands[0].name])):
-        assert _feasibility(sub, result, requested) == reference_feasibility(sub, lightpaths, requested)
+        assert _feasibility(sub, result) == reference_feasibility(sub, lightpaths, requested)
 
 
 # --- feasibility reports -----------------------------------------------------
