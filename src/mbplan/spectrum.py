@@ -22,6 +22,14 @@ route. Demands are in channels, which ``dimensioning.channels_needed`` counts
 from traffic; no rate reaches RSA. Channels that fit nowhere are reported as
 blocked, not raised. Occupancy is one bitmask per band and link; first fit
 takes the lowest free bit.
+
+Within one call the routes to one destination share their in-tree: one BFS
+per destination, which never enters a degree-1 node (it cannot be a transit
+node), records each node's next hop, and a route is read off those next hops
+with no neighbour scan. A demand's route is fixed and
+only its own channels change that route's masks, so its channels are the
+lowest free bits of one ``full & ~OR(route masks)`` per in-reach band, which
+is what placing them one at a time would give.
 """
 
 from __future__ import annotations
@@ -140,9 +148,14 @@ class SpectrumPlan:
 
 
 def channel_count(plan: SpectrumPlan, band: Band | str) -> int:
-    """Channels in one band under the plan's counting mode; more than ``_MAX_BAND_CHANNELS`` raises."""
+    """Channels in one of the plan's bands under its counting mode.
+
+    A band that is not one of ``plan.bands``, or more than ``_MAX_BAND_CHANNELS`` channels, raises.
+    """
     if isinstance(band, str):
         band = plan.band(band)
+    elif band not in plan.bands:
+        raise SpectrumError(f"band {band.name} is not one of the plan's bands")
     declared = plan.mode is PlanMode.DECLARED
     # the floor passes the cap iff the ratio reaches cap + 1; an infinite ratio has no floor
     count = band.channel_count_declared if declared else band_width_thz(band) * 1000.0 / plan.grid_spacing_ghz + 1e-9
@@ -260,33 +273,44 @@ class SpectrumAssignment:
     occupancy: dict[str, dict[tuple[str, str], int]]
 
 
-def _shortest_path(adj: dict[str, tuple[str, ...]], hops_to: dict, source: str, dest: str) -> tuple[str, ...]:
-    """Fewest-hop path, ties broken by lexicographic node sequence.
+def _route(
+    adj: dict[str, tuple[str, ...]], inner: dict[str, list[str]], trees: dict[str, dict[str, str]],
+    source: str, dest: str,
+) -> tuple[tuple[str, str], ...]:
+    """Hops of the fewest-hop path, ties broken by lexicographic node sequence.
 
-    Each step goes to the smallest-id neighbour one hop closer, by one BFS's hop counts ``hops_to[dest]``.
+    Each step goes to the smallest-id neighbour one hop closer to ``dest``, so
+    the next hop depends only on the node and the destination, and the routes
+    to one destination form an in-tree. ``trees[dest]`` maps every node of
+    that in-tree to its next hop, from one BFS from ``dest``. A degree-1 node
+    is never a transit node, so the BFS follows only ``inner``, each node's
+    neighbours of degree 2 or more, and a leaf source goes through its one
+    neighbour.
     """
     if source not in adj or dest not in adj:
         missing = source if source not in adj else dest
         raise RoutingError(f"unknown node {missing!r}")
     if source == dest:
         raise RoutingError(f"demand source equals destination: {source!r}")
-    if dest in adj[source]:
-        return (source, dest)
-    hops = hops_to.get(dest)
-    if hops is None:
-        hops = hops_to[dest] = {dest: 0}
+    nxt = trees.get(dest)
+    if nxt is None:
+        hops = {dest: 0}
+        nxt = trees[dest] = {}
         frontier = [dest]
         for node in frontier:
-            for nbr in adj[node]:
+            for nbr in inner[node]:
                 if nbr not in hops:
                     hops[nbr] = hops[node] + 1
+                    nxt[nbr] = node
                     frontier.append(nbr)
-    if source not in hops:
+                elif hops[nbr] == hops[node] + 1 and node < nxt[nbr]:
+                    nxt[nbr] = node
+    path = [source, adj[source][0]] if len(adj[source]) == 1 else [source]
+    if path[-1] != dest and path[-1] not in nxt:
         raise RoutingError(f"no route from {source!r} to {dest!r}")
-    path = [source]
     while path[-1] != dest:
-        path.append(next(nbr for nbr in adj[path[-1]] if hops.get(nbr) == hops[path[-1]] - 1))
-    return tuple(path)
+        path.append(nxt[path[-1]])
+    return tuple(zip(path, path[1:]))
 
 
 def assign_spectrum(
@@ -296,12 +320,17 @@ def assign_spectrum(
 
     Each channel of a demand takes the lowest channel index free on every
     link of the route, in the first band (plan order) whose reach covers the
-    route length. Unplaceable channels land in ``blocked``, one entry per
+    route length. Only a demand's own channels change its route's masks while
+    it is placed, so one mask of free channels per in-reach band serves all
+    of them: the demand takes that band's lowest free bits, then spills into
+    the next band. Unplaceable channels land in ``blocked``, one entry per
     channel, so len(lightpaths) + len(blocked) equals the requested channel
     total. Unknown or unreachable endpoints raise :class:`RoutingError`.
     """
     adj = topology.adjacency()
-    hops_to: dict[str, dict[str, int]] = {}
+    # a degree-1 node is never a transit node
+    inner = {node: [nbr for nbr in nbrs if len(adj[nbr]) > 1] for node, nbrs in adj.items()}
+    trees: dict[str, dict[str, str]] = {}
     lengths = topology.link_lengths()
     full = {band.name: (1 << channel_count(plan, band)) - 1 for band in plan.bands}
     occupancy = {band.name: dict.fromkeys(lengths, 0) for band in plan.bands}
@@ -309,35 +338,41 @@ def assign_spectrum(
     lightpaths: list[Lightpath] = []
     blocked: list[Demand] = []
     for demand in demands:
-        path = _shortest_path(adj, hops_to, demand.source, demand.dest)
-        hops = tuple(zip(path, path[1:]))
+        hops = _route(adj, inner, trees, demand.source, demand.dest)
         keys = [(a, b) if a <= b else (b, a) for a, b in hops]
         route_km = sum(lengths[k] for k in keys)
-        in_reach = [(band.name, occupancy[band.name]) for band in plan.bands
-                    if band.reach_limit_km is None or band.reach_limit_km >= route_km]
-        for _ in range(demand.channels):
-            for name, masks in in_reach:
-                free = full[name]
-                for k in keys:
-                    free &= ~masks[k]
-                if free:
-                    break
-            else:
-                blocked.append(demand)
+        need = demand.channels
+        for band in plan.bands:
+            if need <= 0:
+                break
+            if not (band.reach_limit_km is None or band.reach_limit_km >= route_km):
                 continue
-            lowest = free & -free
+            name = band.name
+            masks = occupancy[name]
+            used = 0
             for k in keys:
-                masks[k] |= lowest
-            lightpaths.append(
-                Lightpath(
-                    source=demand.source,
-                    dest=demand.dest,
-                    route=hops,
-                    band=name,
-                    channel=lowest.bit_length() - 1,
-                    length_km=route_km,
+                used |= masks[k]
+            free = full[name] & ~used
+            taken = 0
+            while free and need > 0:
+                lowest = free & -free
+                free ^= lowest
+                taken |= lowest
+                need -= 1
+                lightpaths.append(
+                    Lightpath(
+                        source=demand.source,
+                        dest=demand.dest,
+                        route=hops,
+                        band=name,
+                        channel=lowest.bit_length() - 1,
+                        length_km=route_km,
+                    )
                 )
-            )
+            if taken:
+                for k in keys:
+                    masks[k] |= taken
+        blocked.extend([demand] * need)
     return SpectrumAssignment(lightpaths=lightpaths, blocked=blocked, occupancy=occupancy)
 
 

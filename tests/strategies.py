@@ -140,17 +140,29 @@ def assignment_cases(draw):
     return draw(PLANS), topology, _routable_demands(draw, topology, 12)
 
 
-def _routable_demands(draw, topology, most):
-    """Up to ``most`` demands of 1-3 channels between distinct nodes of one connected component."""
+def _routable_demands(draw, topology, most, channels=3):
+    """Up to ``most`` demands of 1 to ``channels`` channels between distinct nodes of one connected component."""
     groups = [ids for ids in _components(topology) if len(ids) > 1]
     demands = []
     for _ in range(draw(st.integers(0, most)) if groups else 0):
         ids = groups[draw(st.integers(0, len(groups) - 1))]
         i = draw(st.integers(0, len(ids) - 1))
         j = (i + draw(st.integers(1, len(ids) - 1))) % len(ids)
-        channels = draw(st.integers(1, 3))
-        demands.append(Demand(ids[i], ids[j], channels))
+        demands.append(Demand(ids[i], ids[j], draw(st.integers(1, channels))))
     return demands
+
+
+@st.composite
+def overflow_cases(draw):
+    """(plan, topology, demands) in which a demand may ask for more channels than one band, or the plan, holds.
+
+    Demands of 1-12 channels meet the 3-channel C plan or a C-led plan of
+    0-8 channels per band, so a demand's channels spill into the next band
+    and the rest are blocked.
+    """
+    topology = generate_topology(draw(small_scenarios()))
+    plan = draw(st.one_of(st.just(_tiny_c_plan()), c_first_plans()))
+    return plan, topology, _routable_demands(draw, topology, 6, channels=12)
 
 
 @st.composite

@@ -39,7 +39,7 @@ from mbplan.spectrum import (
     width_thz,
 )
 from oracles import reference_assign_spectrum, reference_feasibility
-from strategies import PLANS, assignment_cases, c_first_plans, graph_cases, scenarios
+from strategies import PLANS, assignment_cases, c_first_plans, graph_cases, overflow_cases, scenarios
 
 HL4, HL3, HL12 = HierarchyLevel.HL4, HierarchyLevel.HL3, HierarchyLevel.HL12
 
@@ -116,6 +116,12 @@ def test_band_channel_cap():
             SpectrumPlan(bands=(c_band,), grid_spacing_ghz=spacing, mode=PlanMode.COMPUTED)
 
 
+def test_channel_count_rejects_a_band_outside_the_plan(default_plan):
+    assert channel_count(default_plan, default_bands()[0]) == 80
+    with pytest.raises(SpectrumError, match=r"^band C is not one of the plan's bands$"):
+        channel_count(default_plan, Band("C", 1530.0, 1565.0))
+
+
 def test_declared_defaults_fit_a_50ghz_grid(default_plan):
     computed = SpectrumPlan(bands=default_bands(), grid_spacing_ghz=50.0, mode=PlanMode.COMPUTED)
     for band in default_plan.bands:
@@ -135,6 +141,32 @@ def test_overlapping_bands_rejected():
 def test_unknown_band_name_rejected():
     with pytest.raises(SpectrumError, match="unknown band name"):
         Band("X", 1530.0, 1565.0)
+
+
+@pytest.mark.parametrize("field, bad, good", [
+    ("lambda_min_nm", 0.0, 0.5),
+    ("reach_limit_km", 0.0, 0.5),
+    ("channel_count_declared", -1, 0),
+])
+def test_band_bounds_name_the_field(field, bad, good):
+    c_band = Band("C", 1530.0, 1565.0, channel_count_declared=80)
+    assert getattr(replace(c_band, **{field: good}), field) == good
+    with pytest.raises(SpectrumError, match=field):
+        replace(c_band, **{field: bad})
+
+
+def test_negative_declared_count_in_a_plan_file_names_the_field():
+    with pytest.raises(SpectrumError, match=r"^band C: channel_count_declared must be an integer >= 0, got -1$"):
+        spectrum_plan_from_json(
+            '{"bands": [{"name": "C", "lambda_min_nm": 1530, "lambda_max_nm": 1565,'
+            ' "channel_count_declared": -1}]}'
+        )
+
+
+def test_declared_plan_needs_a_positive_grid():
+    assert SpectrumPlan(bands=default_bands(), grid_spacing_ghz=0.5).grid_spacing_ghz == 0.5
+    with pytest.raises(SpectrumError, match="grid_spacing_ghz"):
+        SpectrumPlan(bands=default_bands(), grid_spacing_ghz=0.0)
 
 
 def test_restrict_plan(default_plan, c_only_plan):
@@ -303,6 +335,22 @@ def test_reach_limit_is_inclusive():
     assert [lp.band for lp in result.lightpaths] == ["O"]
 
 
+def test_reach_is_judged_per_route_length():
+    # two 2-hop routes in one call: 60 + 60 km reaches E only, 40 + 60 km also reaches O
+    nodes = (Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl4-0", HL4), Node("hl4-1", HL4))
+    links = (Link("hl4-0", "hl3-0", 60.0), Link("hl4-1", "hl3-0", 40.0), Link("hl3-0", "hl12-0", 60.0))
+    topo = PhysicalTopology(nodes=nodes, links=links)
+    plan = SpectrumPlan(
+        bands=(
+            Band("O", 1260.0, 1360.0, reach_limit_km=100.0, channel_count_declared=4),
+            Band("E", 1360.0, 1460.0, reach_limit_km=150.0, channel_count_declared=4),
+        )
+    )
+    for sources, bands in ((["hl4-0", "hl4-1"], ["E", "O"]), (["hl4-1", "hl4-0"], ["O", "E"])):
+        result = assign_spectrum(plan, topo, [Demand(source, "hl12-0", 1) for source in sources])
+        assert [lp.band for lp in result.lightpaths] == bands
+
+
 def test_route_ties_break_lexicographically(default_plan):
     nodes = (
         Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl3-1", HL3), Node("hl4-0", HL4),
@@ -395,10 +443,8 @@ def architecture_cases(draw):
     return plan, topology, demands_for(draw(st.sampled_from(ArchitectureKind)), scenario, topology)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(assignment_cases(), architecture_cases(), graph_cases()))
-def test_assignment_matches_reference(case):
-    plan, topo, demands = case
+def assert_matches_reference(plan, topo, demands):
+    """``assign_spectrum`` gives the reference engine's lightpaths, blocked channels, masks and reports, or its error."""
     try:
         lightpaths, blocked, occupied = reference_assign_spectrum(plan, topo, demands)
     except RoutingError as expected:
@@ -418,6 +464,56 @@ def test_assignment_matches_reference(case):
     # the whole plan, and its first band alone read off the same occupancy
     for sub in (plan, restrict_plan(plan, [plan.bands[0].name])):
         assert _feasibility(sub, result) == reference_feasibility(sub, lightpaths, requested)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(assignment_cases(), architecture_cases(), graph_cases(), overflow_cases()))
+def test_assignment_matches_reference(case):
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenarios(max_h4=300), st.one_of(PLANS, c_first_plans()), st.sampled_from(ArchitectureKind))
+def test_assignment_matches_reference_on_large_topologies(scenario, plan, arch):
+    # in-trees with hundreds of leaves, which the small strategies never build
+    topology = generate_topology(scenario)
+    assert_matches_reference(plan, topology, demands_for(arch, scenario, topology))
+
+
+def graph(*links):
+    """Topology of the given (a, b) links of 50 km; a node's level is read off its id."""
+    ids = sorted({node for link in links for node in link})
+    levels = {"hl12": HL12, "hl3": HL3, "hl4": HL4}
+    return PhysicalTopology(nodes=tuple(Node(i, levels[i.split("-")[0]]) for i in ids),
+                            links=tuple(Link(a, b, 50.0) for a, b in links))
+
+
+# hl12-0 - hl3-0 - hl3-1 - hl3-2 in a line with a leaf on hl3-0 and on hl3-1, and apart from it the triangle
+# hl3-3/hl3-4/hl4-9 with a leaf on hl3-3 and the two-node component hl12-1 - hl4-5
+GRAPH = graph(("hl12-0", "hl3-0"), ("hl3-0", "hl3-1"), ("hl3-1", "hl3-2"), ("hl3-0", "hl4-0"), ("hl3-1", "hl4-1"),
+              ("hl3-3", "hl3-4"), ("hl3-4", "hl4-9"), ("hl4-9", "hl3-3"), ("hl3-3", "hl4-8"), ("hl12-1", "hl4-5"))
+
+
+@pytest.mark.parametrize("pairs", [
+    pytest.param([("hl3-2", "hl4-0"), ("hl12-0", "hl4-1"), ("hl4-0", "hl4-1")], id="leaf-destination"),
+    pytest.param([("hl4-8", "hl12-0")], id="leaf-source-neighbour-cannot-reach"),
+    pytest.param([("hl4-1", "hl3-0"), ("hl4-5", "hl3-0")], id="leaf-source-neighbour-is-a-leaf"),
+    pytest.param([("hl4-5", "hl12-1"), ("hl12-1", "hl4-5")], id="two-node-component"),
+    pytest.param([("hl3-2", "hl12-0"), ("hl4-1", "hl12-0"), ("hl3-1", "hl12-0")], id="same-in-tree-long-route-first"),
+    pytest.param([("hl3-1", "hl12-0"), ("hl4-1", "hl12-0"), ("hl3-2", "hl12-0")], id="same-in-tree-short-route-first"),
+])
+def test_routing_edge_cases_match_reference(pairs):
+    # two channels each: on a shared link the third demand spills from C into L and is partly blocked
+    plan = SpectrumPlan(bands=(Band("C", 1530.0, 1565.0, channel_count_declared=3),
+                               Band("L", 1565.0, 1625.0, channel_count_declared=2)))
+    assert_matches_reference(plan, GRAPH, [Demand(a, b, 2) for a, b in pairs])
+
+
+def test_non_positive_demand_places_nothing(default_plan):
+    # as in the reference engine, whose per-channel loop runs range(channels)
+    result = assign_spectrum(default_plan, GRAPH, [Demand("hl4-1", "hl12-0", -1), Demand("hl4-0", "hl12-0", 0)])
+    assert (result.lightpaths, result.blocked) == ([], [])
+    assert not any(any(masks.values()) for masks in result.occupancy.values())
 
 
 # --- feasibility reports -----------------------------------------------------
