@@ -260,7 +260,9 @@ def read_record(text: str, cls: type[R], error: type[ValueError]) -> R:
     Field names, defaults and types come from ``cls`` itself: unknown and
     missing fields are errors, and every value must match its field's type
     (see :func:`_read_value`), and a field given twice in one object is an
-    error too. Raises ``error`` naming the offending field.
+    error too. Raises ``error`` naming the offending field; an error in an
+    entry of a list, its constructor's checks included, starts with the
+    entry's ``d #i`` label.
     """
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
@@ -295,7 +297,13 @@ def _read_object(raw: object, cls: type[R], error: type[ValueError], label: str)
     if missing:
         raise error(f"{prefix}missing required field(s): {', '.join(missing)}")
     hints = get_type_hints(cls)
-    return cls(**{name: _read_value(hints[name], value, prefix + name, error) for name, value in raw.items()})
+    values = {name: _read_value(hints[name], value, prefix + name, error) for name, value in raw.items()}
+    try:
+        return cls(**values)
+    except error as exc:
+        if not label:
+            raise
+        raise error(f"{prefix}{exc}") from None
 
 
 def _read_value(hint: object, value: object, name: str, error: type[ValueError]) -> object:

@@ -26,10 +26,15 @@ takes the lowest free bit.
 Within one call the routes to one destination share their in-tree: one BFS
 per destination, which never enters a degree-1 node (it cannot be a transit
 node), records each node's next hop, and a route is read off those next hops
-with no neighbour scan. A demand's route is fixed and
-only its own channels change that route's masks, so its channels are the
-lowest free bits of one ``full & ~OR(route masks)`` per in-reach band, which
-is what placing them one at a time would give.
+with no neighbour scan. A route is a leaf source's own link, then the *trunk*
+from its entry node (the leaf's one neighbour, or else the source itself) to
+the destination; demands with the same (entry, destination) share the trunk,
+and the last group's trunk is kept with the OR of its masks per band. A
+demand's route is fixed and only its own channels change that route's masks,
+so its channels are the lowest free bits of one ``full & ~OR(route masks)``
+per in-reach band, which is what placing them one at a time would give. The
+result holds one :class:`Placement` per demand and band, with its channels as
+one mask; the per-channel lists are expanded from it on request.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .dimensioning import ArchitectureKind, channels_needed, grooming_uplink_channels
 from .scenario import (
@@ -218,6 +225,10 @@ class Demand:
     dest: str
     channels: int
 
+    def __post_init__(self):
+        if self.channels < 0:
+            raise SpectrumError(f"demand {self.source} -> {self.dest}: channels must be >= 0, got {self.channels}")
+
 
 def demands_for(
     arch: ArchitectureKind, scenario: NetworkScenario, topology: PhysicalTopology
@@ -260,42 +271,62 @@ class Lightpath:
     length_km: float
 
 
+class Placement(NamedTuple):
+    """A demand's channels in one band: bit ``i`` of ``mask`` is channel ``i``, lit on every link of ``route``."""
+
+    demand: Demand
+    route: tuple[tuple[str, str], ...]
+    band: str
+    mask: int
+    length_km: float
+
+
 @dataclass
 class SpectrumAssignment:
     """Placed and blocked channels, and the spectrum occupancy they leave.
 
+    ``placements`` holds one record per demand and band it placed channels
+    in, in placement order; ``unplaced`` holds ``(demand, count)`` for each
+    demand with ``count`` > 0 channels that fit nowhere.
     ``occupancy[band][link]`` has bit ``i`` set when channel ``i`` of the band
     is in use on the link; every band of the plan lists every link.
     """
 
-    lightpaths: list[Lightpath]
-    blocked: list[Demand]
+    placements: list[Placement]
+    unplaced: list[tuple[Demand, int]]
     occupancy: dict[str, dict[tuple[str, str], int]]
 
+    @property
+    def lightpaths(self) -> list[Lightpath]:
+        """One entry per placed channel, in placement order (expanded from ``placements``)."""
+        return [Lightpath(p.demand.source, p.demand.dest, p.route, p.band, channel, p.length_km)
+                for p in self.placements for channel in range(p.mask.bit_length()) if p.mask >> channel & 1]
 
-def _route(
-    adj: dict[str, tuple[str, ...]], inner: dict[str, list[str]], trees: dict[str, dict[str, str]],
-    source: str, dest: str,
-) -> tuple[tuple[str, str], ...]:
-    """Hops of the fewest-hop path, ties broken by lexicographic node sequence.
+    @property
+    def blocked(self) -> list[Demand]:
+        """One entry per blocked channel, in demand order (expanded from ``unplaced``)."""
+        return [demand for demand, count in self.unplaced for _ in range(count)]
+
+
+def _trunk(
+    inner: dict[str, list[str]], trees: dict[str, dict[str, tuple[str, tuple[str, str]]]],
+    source: str, entry: str, dest: str,
+) -> list[tuple[str, str]]:
+    """Link keys from ``entry`` to ``dest`` on the fewest-hop path, ties broken by lexicographic node sequence.
 
     Each step goes to the smallest-id neighbour one hop closer to ``dest``, so
     the next hop depends only on the node and the destination, and the routes
     to one destination form an in-tree. ``trees[dest]`` maps every node of
-    that in-tree to its next hop, from one BFS from ``dest``. A degree-1 node
-    is never a transit node, so the BFS follows only ``inner``, each node's
-    neighbours of degree 2 or more, and a leaf source goes through its one
-    neighbour.
+    that in-tree to its next hop and the key of the link to it, from one BFS
+    from ``dest``. A degree-1 node is never a transit node, so the BFS follows
+    only ``inner``, each node's neighbours of degree 2 or more; a leaf
+    ``source`` enters through its one neighbour, ``entry``, and the error
+    names ``source``.
     """
-    if source not in adj or dest not in adj:
-        missing = source if source not in adj else dest
-        raise RoutingError(f"unknown node {missing!r}")
-    if source == dest:
-        raise RoutingError(f"demand source equals destination: {source!r}")
-    nxt = trees.get(dest)
-    if nxt is None:
+    steps = trees.get(dest)
+    if steps is None:
         hops = {dest: 0}
-        nxt = trees[dest] = {}
+        nxt = {}
         frontier = [dest]
         for node in frontier:
             for nbr in inner[node]:
@@ -305,12 +336,24 @@ def _route(
                     frontier.append(nbr)
                 elif hops[nbr] == hops[node] + 1 and node < nxt[nbr]:
                     nxt[nbr] = node
-    path = [source, adj[source][0]] if len(adj[source]) == 1 else [source]
-    if path[-1] != dest and path[-1] not in nxt:
+        steps = trees[dest] = {node: (hop, (node, hop) if node <= hop else (hop, node)) for node, hop in nxt.items()}
+    if entry != dest and entry not in steps:
         raise RoutingError(f"no route from {source!r} to {dest!r}")
-    while path[-1] != dest:
-        path.append(nxt[path[-1]])
-    return tuple(zip(path, path[1:]))
+    keys = []
+    node = entry
+    while node != dest:
+        node, key = steps[node]
+        keys.append(key)
+    return keys
+
+
+def _hops(node: str, keys: list[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """The directed hops along the links ``keys``, from ``node`` on."""
+    hops = []
+    for a, b in keys:
+        hops.append((node, nxt := b if a == node else a))
+        node = nxt
+    return tuple(hops)
 
 
 def assign_spectrum(
@@ -323,24 +366,48 @@ def assign_spectrum(
     route length. Only a demand's own channels change its route's masks while
     it is placed, so one mask of free channels per in-reach band serves all
     of them: the demand takes that band's lowest free bits, then spills into
-    the next band. Unplaceable channels land in ``blocked``, one entry per
-    channel, so len(lightpaths) + len(blocked) equals the requested channel
-    total. Unknown or unreachable endpoints raise :class:`RoutingError`.
+    the next band. Each band a demand places channels in gives one
+    :class:`Placement`, and its unplaceable channels one ``unplaced`` entry,
+    so the expanded ``lightpaths`` and ``blocked`` add up to the requested
+    channel total. Unknown or unreachable endpoints raise :class:`RoutingError`.
+
+    Only the last group's trunk is kept, with per band the OR of its masks,
+    taken the first time one of its demands tries the band: while the group
+    lasts only its own placements change the trunk, and each ORs into it.
     """
     adj = topology.adjacency()
     # a degree-1 node is never a transit node
     inner = {node: [nbr for nbr in nbrs if len(adj[nbr]) > 1] for node, nbrs in adj.items()}
-    trees: dict[str, dict[str, str]] = {}
+    trees: dict[str, dict[str, tuple[str, tuple[str, str]]]] = {}
     lengths = topology.link_lengths()
     full = {band.name: (1 << channel_count(plan, band)) - 1 for band in plan.bands}
     occupancy = {band.name: dict.fromkeys(lengths, 0) for band in plan.bands}
 
-    lightpaths: list[Lightpath] = []
-    blocked: list[Demand] = []
+    placements: list[Placement] = []
+    unplaced: list[tuple[Demand, int]] = []
+    group = None
     for demand in demands:
-        hops = _route(adj, inner, trees, demand.source, demand.dest)
-        keys = [(a, b) if a <= b else (b, a) for a, b in hops]
-        route_km = sum(lengths[k] for k in keys)
+        source, dest = demand.source, demand.dest
+        if source not in adj or dest not in adj:
+            missing = source if source not in adj else dest
+            raise RoutingError(f"unknown node {missing!r}")
+        if source == dest:
+            raise RoutingError(f"demand source equals destination: {source!r}")
+        nbrs = adj[source]
+        entry = nbrs[0] if len(nbrs) == 1 else source
+        if group != (entry, dest):
+            trunk_keys = _trunk(inner, trees, source, entry, dest)
+            group = entry, dest
+            trunk_lengths = list(map(lengths.__getitem__, trunk_keys))
+            trunk_hops = None
+            trunk_used: dict[str, int] = {}
+        if entry == source:
+            leaf_key = None
+            route_km = sum(trunk_lengths)
+        else:
+            leaf_key = (source, entry) if source <= entry else (entry, source)
+            route_km = sum(trunk_lengths, lengths[leaf_key])
+        route = None
         need = demand.channels
         for band in plan.bands:
             if need <= 0:
@@ -349,9 +416,11 @@ def assign_spectrum(
                 continue
             name = band.name
             masks = occupancy[name]
-            used = 0
-            for k in keys:
-                used |= masks[k]
+            used = trunk_used.get(name)
+            if used is None:
+                used = trunk_used[name] = reduce(or_, map(masks.__getitem__, trunk_keys), 0)
+            if leaf_key is not None:
+                used |= masks[leaf_key]
             free = full[name] & ~used
             taken = 0
             while free and need > 0:
@@ -359,21 +428,21 @@ def assign_spectrum(
                 free ^= lowest
                 taken |= lowest
                 need -= 1
-                lightpaths.append(
-                    Lightpath(
-                        source=demand.source,
-                        dest=demand.dest,
-                        route=hops,
-                        band=name,
-                        channel=lowest.bit_length() - 1,
-                        length_km=route_km,
-                    )
-                )
             if taken:
-                for k in keys:
+                if route is None:
+                    if trunk_hops is None:
+                        trunk_hops = _hops(entry, trunk_keys)
+                    route = trunk_hops if leaf_key is None else ((source, entry), *trunk_hops)
+                placements.append(Placement(demand, route, name, taken, route_km))
+                for k in trunk_keys:
                     masks[k] |= taken
-        blocked.extend([demand] * need)
-    return SpectrumAssignment(lightpaths=lightpaths, blocked=blocked, occupancy=occupancy)
+                if leaf_key is not None:
+                    masks[leaf_key] |= taken
+                if trunk_keys:  # an empty trunk's cache stays 0: each leaf of its group has its own link
+                    trunk_used[name] |= taken
+        if need > 0:
+            unplaced.append((demand, need))
+    return SpectrumAssignment(placements=placements, unplaced=unplaced, occupancy=occupancy)
 
 
 @dataclass
@@ -404,11 +473,12 @@ def feasibility_report(
 
 def _feasibility(plan: SpectrumPlan, assignment: SpectrumAssignment) -> FeasibilityReport:
     """Report on the plan's bands of ``assignment``; each of its channels not placed in them is blocked."""
-    requested = len(assignment.lightpaths) + len(assignment.blocked)
     counts = {band.name: channel_count(plan, band) for band in plan.bands}
     # channels in use per band and link; every band's masks list the same links in the same order
     used = [[mask.bit_count() for mask in assignment.occupancy[name].values()] for name in counts]
-    placed = sum(lp.band in counts for lp in assignment.lightpaths)
+    placed = sum(p.mask.bit_count() for p in assignment.placements if p.band in counts)
+    requested = (sum(p.mask.bit_count() for p in assignment.placements)
+                 + sum(count for _, count in assignment.unplaced))
     return FeasibilityReport(
         feasible=placed == requested,
         peak_link_occupancy=max(map(sum, zip(*used)), default=0),

@@ -120,6 +120,18 @@ def test_bad_input_value_exits_two_naming_the_field(capsys, tmp_path, kind, fiel
         assert "band #0: " in err
 
 
+@pytest.mark.parametrize("index", [0, 1])
+def test_band_constructor_error_names_the_entry(capsys, tmp_path, index):
+    # two bands of one name: only the entry's index tells which one fails Band's own check
+    bands = [dict(BAND_DOC), dict(BAND_DOC)]
+    bands[index]["channel_count_declared"] = -1
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"bands": bands}))
+    code, out, err = run(capsys, "spectrum-check", RING, "--plan", str(plan))
+    assert (code, out) == (2, "")
+    assert err == f"error: {plan}: band #{index}: band C: channel_count_declared must be an integer >= 0, got -1\n"
+
+
 BIG_MAN = {"h4": 200, "h3": 40, "h12": 5, "a4_gbps": 300, "eta": 0.5}
 OVERSIZED = {
     "h4": ({**SCENARIO_DOC, "h4": 1e12}, ("dimension", "{file}", "--arch", "continuum"), "h4"),

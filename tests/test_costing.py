@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +57,29 @@ def test_negative_unit_cost_rejected():
         CostModel(transponder_cu=-1.0)
 
 
+@pytest.mark.parametrize("price", ["transponder_cu", "ptmp_module_cu", "router_large_cu"])
+def test_non_finite_unit_cost_rejected(price):
+    for value in (math.inf, math.nan):
+        with pytest.raises(CostingError, match=f"^{price} must be finite and >= 0"):
+            CostModel(**{price: value})
+
+
+def test_routers_per_hl3_cap():
+    assert CostModel(routers_per_hl3=1000).routers_per_hl3 == 1000
+    with pytest.raises(CostingError, match="^routers_per_hl3 must be at most 1000, got 1001$"):
+        CostModel(routers_per_hl3=1001)
+
+
+def test_capex_whose_finite_parts_overflow_names_the_router_price(benchmark_scenario):
+    # 560 transponders and 40 routers, each part about 1.7e308 CU: both finite, their sum is not
+    model = CostModel(transponder_cu=1.7e308 / 560, router_large_cu=1.7e308 / 40)
+    result = dimension(benchmark_scenario, GROOM)
+    assert math.isfinite(result.total * model.transponder_cu)
+    assert math.isfinite(benchmark_scenario.h3 * model.router_large_cu)
+    with pytest.raises(CostingError, match="^router_large_cu 4.25e[+]306 gives a CAPEX too large to represent$"):
+        cost(result, model, benchmark_scenario)
+
+
 def _benchmark_results(s, topo):
     return {
         GROOM: dimension(s, GROOM),
@@ -95,6 +120,15 @@ def test_savings_against_a_near_zero_baseline_name_its_price(benchmark_scenario,
     # 560 x 5e-324 CU of grooming against 350 x 12 CU of ptmp modules overflows the percentage
     model = CostModel(transponder_cu=5e-324, routers_per_hl3=0)
     with pytest.raises(CostingError, match="transponder_cu 4.94066e-324 gives grooming a CAPEX too small"):
+        compare(_benchmark_results(benchmark_scenario, benchmark_topology), model, benchmark_scenario)
+
+
+def test_near_zero_baseline_whose_costs_tie_names_the_unit_price(benchmark_scenario, benchmark_topology):
+    # grooming pays 560 x 1 and 40 x 14 of the smallest subnormal CU for transponders and routers: a tie
+    model = CostModel(transponder_cu=5e-324, router_large_cu=14 * 5e-324)
+    grooming = cost(dimension(benchmark_scenario, GROOM), model, benchmark_scenario)
+    assert grooming.transceiver_cost_cu == grooming.router_cost_cu > 0
+    with pytest.raises(CostingError, match="^transponder_cu 4.94066e-324 gives grooming a CAPEX too small"):
         compare(_benchmark_results(benchmark_scenario, benchmark_topology), model, benchmark_scenario)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -13,6 +14,7 @@ from mbplan.scenario import (
     Node,
     PhysicalTopology,
     ScenarioError,
+    TopologyKind,
     _MAX_DEMAND_CHANNELS,
     generate_topology,
     to_dict,
@@ -20,6 +22,7 @@ from mbplan.scenario import (
 from mbplan.spectrum import (
     Band,
     Demand,
+    Placement,
     PlanMode,
     RoutingError,
     SpectrumError,
@@ -30,6 +33,7 @@ from mbplan.spectrum import (
     band_width_thz,
     channel_count,
     default_bands,
+    default_spectrum_plan,
     demands_for,
     feasibility_report,
     load_spectrum_plan,
@@ -39,7 +43,10 @@ from mbplan.spectrum import (
     width_thz,
 )
 from oracles import reference_assign_spectrum, reference_feasibility
-from strategies import PLANS, assignment_cases, c_first_plans, graph_cases, overflow_cases, scenarios
+from strategies import (
+    PLANS, _short_reach_plan, _tiny_c_plan, assignment_cases, c_first_plans, graph_cases, overflow_cases,
+    scenarios,
+)
 
 HL4, HL3, HL12 = HierarchyLevel.HL4, HierarchyLevel.HL3, HierarchyLevel.HL12
 
@@ -99,7 +106,8 @@ def test_declared_mode_requires_counts():
 
 
 def test_band_channel_cap():
-    # checked on the counts, before any mask of that many bits exists
+    # checked on the counts, before any mask of that many bits exists; README gives the cap as 100 000
+    assert _MAX_BAND_CHANNELS == 100_000
     c_band = Band("C", 1530.0, 1565.0, channel_count_declared=_MAX_BAND_CHANNELS)
     assert channel_count(SpectrumPlan(bands=(c_band,)), "C") == _MAX_BAND_CHANNELS
     for count in (_MAX_BAND_CHANNELS + 1, 10**12):
@@ -147,6 +155,8 @@ def test_unknown_band_name_rejected():
     ("lambda_min_nm", 0.0, 0.5),
     ("reach_limit_km", 0.0, 0.5),
     ("channel_count_declared", -1, 0),
+    ("lambda_max_nm", math.inf, 1565.0),
+    ("reach_limit_km", math.inf, 0.5),
 ])
 def test_band_bounds_name_the_field(field, bad, good):
     c_band = Band("C", 1530.0, 1565.0, channel_count_declared=80)
@@ -156,7 +166,8 @@ def test_band_bounds_name_the_field(field, bad, good):
 
 
 def test_negative_declared_count_in_a_plan_file_names_the_field():
-    with pytest.raises(SpectrumError, match=r"^band C: channel_count_declared must be an integer >= 0, got -1$"):
+    with pytest.raises(SpectrumError,
+                       match=r"^band #0: band C: channel_count_declared must be an integer >= 0, got -1$"):
         spectrum_plan_from_json(
             '{"bands": [{"name": "C", "lambda_min_nm": 1530, "lambda_max_nm": 1565,'
             ' "channel_count_declared": -1}]}'
@@ -165,8 +176,9 @@ def test_negative_declared_count_in_a_plan_file_names_the_field():
 
 def test_declared_plan_needs_a_positive_grid():
     assert SpectrumPlan(bands=default_bands(), grid_spacing_ghz=0.5).grid_spacing_ghz == 0.5
-    with pytest.raises(SpectrumError, match="grid_spacing_ghz"):
-        SpectrumPlan(bands=default_bands(), grid_spacing_ghz=0.0)
+    for spacing in (0.0, math.inf):
+        with pytest.raises(SpectrumError, match="grid_spacing_ghz"):
+            SpectrumPlan(bands=default_bands(), grid_spacing_ghz=spacing)
 
 
 def test_restrict_plan(default_plan, c_only_plan):
@@ -501,6 +513,12 @@ GRAPH = graph(("hl12-0", "hl3-0"), ("hl3-0", "hl3-1"), ("hl3-1", "hl3-2"), ("hl3
     pytest.param([("hl4-5", "hl12-1"), ("hl12-1", "hl4-5")], id="two-node-component"),
     pytest.param([("hl3-2", "hl12-0"), ("hl4-1", "hl12-0"), ("hl3-1", "hl12-0")], id="same-in-tree-long-route-first"),
     pytest.param([("hl3-1", "hl12-0"), ("hl4-1", "hl12-0"), ("hl3-2", "hl12-0")], id="same-in-tree-short-route-first"),
+    # hl4-0 enters at hl3-0, and hl3-2 at hl3-1: the group (hl3-0, hl12-0) comes back after another group
+    pytest.param([("hl4-0", "hl12-0"), ("hl3-2", "hl12-0"), ("hl3-0", "hl12-0"), ("hl4-0", "hl12-0")],
+                 id="group-not-consecutive"),
+    pytest.param([("hl4-0", "hl3-0"), ("hl4-1", "hl3-1"), ("hl3-1", "hl3-0"), ("hl4-0", "hl3-0")],
+                 id="leaf-source-neighbour-is-destination"),
+    pytest.param([("hl4-1", "hl12-0"), ("hl4-1", "hl12-0"), ("hl4-1", "hl3-2")], id="same-leaf-source-twice"),
 ])
 def test_routing_edge_cases_match_reference(pairs):
     # two channels each: on a shared link the third demand spills from C into L and is partly blocked
@@ -509,11 +527,76 @@ def test_routing_edge_cases_match_reference(pairs):
     assert_matches_reference(plan, GRAPH, [Demand(a, b, 2) for a, b in pairs])
 
 
+def test_leaves_of_one_destination_share_no_channels():
+    # grooming's HL4 -> HL3 demands: one group whose trunk is empty, as each leaf reaches the destination directly
+    topo = PhysicalTopology(
+        nodes=(Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl4-0", HL4), Node("hl4-1", HL4), Node("hl4-2", HL4)),
+        links=(Link("hl3-0", "hl12-0", 50.0), Link("hl4-0", "hl3-0", 5.0), Link("hl4-1", "hl3-0", 7.0),
+               Link("hl4-2", "hl3-0", 9.0)),
+    )
+    plan = SpectrumPlan(bands=(Band("C", 1530.0, 1565.0, channel_count_declared=3),))
+    demands = [Demand(f"hl4-{i}", "hl3-0", 2) for i in range(3)] + [Demand("hl3-0", "hl12-0", 3)]
+    result = assign_spectrum(plan, topo, demands)
+    assert [(lp.source, lp.channel) for lp in result.lightpaths] == [
+        ("hl4-0", 0), ("hl4-0", 1), ("hl4-1", 0), ("hl4-1", 1), ("hl4-2", 0), ("hl4-2", 1),
+        ("hl3-0", 0), ("hl3-0", 1), ("hl3-0", 2)]
+    assert_matches_reference(plan, topo, demands)
+
+
+def test_route_length_adds_links_from_the_source():
+    # unequal lengths whose float sum depends on the order: 0.1 + 0.2 + 0.3 from the leaf is just over
+    # O's 0.6 km reach, while the 0.2 + 0.3 km route from hl3-0 is within it
+    topo = PhysicalTopology(
+        nodes=(Node("hl12-0", HL12), Node("hl3-0", HL3), Node("hl3-1", HL3), Node("hl4-0", HL4), Node("hl4-1", HL4)),
+        links=(Link("hl4-0", "hl3-0", 0.1), Link("hl3-0", "hl3-1", 0.2), Link("hl3-1", "hl12-0", 0.3),
+               Link("hl4-1", "hl3-1", 0.7)),
+    )
+    plan = SpectrumPlan(bands=(Band("O", 1260.0, 1360.0, reach_limit_km=0.6, channel_count_declared=2),
+                               Band("C", 1530.0, 1565.0, channel_count_declared=2)))
+    demands = [Demand("hl4-0", "hl12-0", 1), Demand("hl3-0", "hl12-0", 1), Demand("hl4-1", "hl12-0", 2),
+               Demand("hl4-0", "hl12-0", 2)]
+    result = assign_spectrum(plan, topo, demands)
+    assert [(lp.source, lp.band, lp.length_km) for lp in result.lightpaths[:2]] == [
+        ("hl4-0", "C", 0.1 + 0.2 + 0.3), ("hl3-0", "O", 0.2 + 0.3)]
+    assert_matches_reference(plan, topo, demands)
+
+
+@pytest.mark.parametrize("plan", [default_spectrum_plan(), _tiny_c_plan(), _short_reach_plan()],
+                         ids=["default", "tiny-c", "short-reach"])
+@pytest.mark.parametrize("a4", [400.0, 1200.0])
+def test_long_arc_ring_matches_reference(plan, a4):
+    # one HL4 per HL3 on a 40-HL3 ring with one hub: every demand is a group of its own, with routes of up to 20 hops
+    s = NetworkScenario(h4=40, h3=40, h12=1, a4_gbps=a4, eta=0.5, topology_kind=TopologyKind.RING)
+    topology = generate_topology(s)
+    assert_matches_reference(plan, topology, demands_for(ArchitectureKind.CONTINUUM, s, topology))
+
+
 def test_non_positive_demand_places_nothing(default_plan):
-    # as in the reference engine, whose per-channel loop runs range(channels)
-    result = assign_spectrum(default_plan, GRAPH, [Demand("hl4-1", "hl12-0", -1), Demand("hl4-0", "hl12-0", 0)])
+    # zero channels; a negative count cannot make a Demand (below)
+    result = assign_spectrum(default_plan, GRAPH, [Demand("hl4-1", "hl12-0", 0), Demand("hl4-0", "hl12-0", 0)])
+    assert (result.placements, result.unplaced) == ([], [])
     assert (result.lightpaths, result.blocked) == ([], [])
     assert not any(any(masks.values()) for masks in result.occupancy.values())
+
+
+def test_negative_demand_is_rejected():
+    assert Demand("hl4-1", "hl12-0", 0).channels == 0
+    with pytest.raises(SpectrumError, match=r"^demand hl4-1 -> hl12-0: channels must be >= 0, got -1$"):
+        Demand("hl4-1", "hl12-0", -1)
+
+
+def test_one_record_per_demand_and_band():
+    # three C and two L channels: the second demand takes C's last channel, then both of L's, and blocks one
+    plan = SpectrumPlan(bands=(Band("C", 1530.0, 1565.0, channel_count_declared=3),
+                               Band("L", 1565.0, 1625.0, channel_count_declared=2)))
+    first, second = Demand("hl4-0", "hl12-0", 2), Demand("hl4-0", "hl12-0", 4)
+    result = assign_spectrum(plan, two_node_link(), [first, second])
+    route = (("hl4-0", "hl12-0"),)
+    assert result.placements == [Placement(first, route, "C", 0b011, 50.0), Placement(second, route, "C", 0b100, 50.0),
+                                 Placement(second, route, "L", 0b11, 50.0)]
+    assert result.unplaced == [(second, 1)]
+    assert [(lp.band, lp.channel) for lp in result.lightpaths] == [("C", 0), ("C", 1), ("C", 2), ("L", 0), ("L", 1)]
+    assert result.blocked == [second]
 
 
 # --- feasibility reports -----------------------------------------------------
