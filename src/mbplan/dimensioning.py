@@ -20,7 +20,6 @@ ceilings (and, for grooming, part of the HL3 term) and are never costed.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -163,10 +162,9 @@ def _ptmp_counts(
         hl4s = topology.nodes_at(HierarchyLevel.HL4)
         if len(hl4s) != s.h4:
             raise DimensioningError(f"topology has {len(hl4s)} HL4 nodes but scenario declares h4={s.h4}")
-        parents, hubs = topology.hl3_parent_map(), topology.hl12_hub_map()
+        spokes: dict[str, int] = {}
+        for _, hub, children in topology.hierarchy():
+            spokes[hub] = spokes.get(hub, 0) + len(children)
         hl4 = channels_needed(s.a4_gbps, s.channel_rate_gbps) * s.h4
-        hl12 = sum(
-            channels_needed(spokes * Fraction(s.a4_gbps), s.channel_rate_gbps)
-            for spokes in Counter(hubs[parents[node]] for node in hl4s).values()
-        )
+        hl12 = sum(channels_needed(n * Fraction(s.a4_gbps), s.channel_rate_gbps) for n in spokes.values())
     return {HierarchyLevel.HL4: hl4, HierarchyLevel.HL3: 0, HierarchyLevel.HL12: hl12}

@@ -132,27 +132,32 @@ class Link:
 class PhysicalTopology:
     """Generated node/link graph; nodes carry their hierarchy level.
 
-    The derived maps (levels, adjacency, HL3 parents, HL12 hubs) are built
-    on first use and kept for the life of the instance; the map methods
-    hand out copies, so the cache cannot be changed from outside.
+    The derived facts (levels, adjacency, link lengths, HL3 parents, HL12
+    hubs, the hierarchy) are built on first use and kept for the life of the
+    instance; the map methods hand out copies and the rest are tuples, so
+    the cache cannot be changed from outside.
     """
 
     nodes: tuple[Node, ...]
     links: tuple[Link, ...]
 
     def nodes_at(self, level: HierarchyLevel) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.level is level)
+        return self._by_level[level]
 
     def adjacency(self) -> dict[str, tuple[str, ...]]:
         """Neighbor ids per node, sorted for deterministic traversal."""
         return dict(self._adjacency)
 
     def link_lengths(self) -> dict[tuple[str, str], float]:
-        return {link.key: link.length_km for link in self.links}
+        return dict(self._lengths)
+
+    def hierarchy(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        """One ``(hl3, hub, children)`` per HL3, all in node order; an HL4 with no HL3 link raises."""
+        return self._hierarchy
 
     def hl3_parent_map(self) -> dict[str, str]:
         """HL4 node id -> the HL3 node it hangs off."""
-        return dict(self._parents)
+        return dict(self._tiers[0])
 
     def hl12_hub_map(self) -> dict[str, str]:
         """HL3 node id -> its HL1/2 hub.
@@ -167,6 +172,14 @@ class PhysicalTopology:
         return {n.id: n.level for n in self.nodes}
 
     @cached_property
+    def _by_level(self) -> dict[HierarchyLevel, tuple[str, ...]]:
+        return {level: tuple(n.id for n in self.nodes if n.level is level) for level in HierarchyLevel}
+
+    @cached_property
+    def _lengths(self) -> dict[tuple[str, str], float]:
+        return {link.key: link.length_km for link in self.links}
+
+    @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         nbrs: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for link in self.links:
@@ -175,32 +188,39 @@ class PhysicalTopology:
         return {nid: tuple(sorted(ns)) for nid, ns in nbrs.items()}
 
     @cached_property
-    def _parents(self) -> dict[str, str]:
+    def _tiers(self) -> tuple[dict[str, str], dict[str, list[str]]]:
+        """HL4 -> HL3 parent, and each node's neighbours over the links with no HL4 end, in one pass."""
         levels = self._levels
+        hl3, hl4 = HierarchyLevel.HL3, HierarchyLevel.HL4
         parents: dict[str, str] = {}
+        core: dict[str, list[str]] = {}
         for link in self.links:
-            pair = {levels[link.a]: link.a, levels[link.b]: link.b}
-            if set(pair) == {HierarchyLevel.HL4, HierarchyLevel.HL3}:
-                parents[pair[HierarchyLevel.HL4]] = pair[HierarchyLevel.HL3]
-        return parents
+            la, lb = levels[link.a], levels[link.b]
+            if la is hl4 or lb is hl4:
+                if la is hl3:
+                    parents[link.b] = link.a
+                elif lb is hl3:
+                    parents[link.a] = link.b
+            else:
+                core.setdefault(link.a, []).append(link.b)
+                core.setdefault(link.b, []).append(link.a)
+        return parents, core
 
     @cached_property
     def _hubs(self) -> dict[str, str]:
-        # One breadth-first search from every HL12 at once, never entering
-        # HL4 nodes. A node's nearest hubs are the union of those of its
+        # One breadth-first search from every HL12 at once over the links
+        # with no HL4 end. A node's nearest hubs are the union of those of its
         # predecessors one layer closer, so its smallest-id nearest hub is
         # the smallest hub among its predecessors.
-        levels = self._levels
-        adj = self._adjacency
+        core = self._tiers[1]
         hub = {hl12: hl12 for hl12 in self.nodes_at(HierarchyLevel.HL12)}
         frontier = list(hub)
         while frontier:
             layer: dict[str, str] = {}
             for node in frontier:
-                for nbr in adj[node]:
-                    if nbr not in hub and levels[nbr] is not HierarchyLevel.HL4:
-                        if nbr not in layer or hub[node] < layer[nbr]:
-                            layer[nbr] = hub[node]
+                for nbr in core.get(node, ()):
+                    if nbr not in hub and (nbr not in layer or hub[node] < layer[nbr]):
+                        layer[nbr] = hub[node]
             hub.update(layer)
             frontier = list(layer)
         hubs: dict[str, str] = {}
@@ -209,6 +229,16 @@ class PhysicalTopology:
                 raise ScenarioError(f"no HL12 node reachable from {hl3}")
             hubs[hl3] = hub[hl3]
         return hubs
+
+    @cached_property
+    def _hierarchy(self) -> tuple[tuple[str, str, tuple[str, ...]], ...]:
+        parents, hubs = self._tiers[0], self._hubs
+        children: dict[str, list[str]] = {hl3: [] for hl3 in hubs}
+        for hl4 in self.nodes_at(HierarchyLevel.HL4):
+            if hl4 not in parents:
+                raise ScenarioError(f"HL4 node {hl4} has no HL3 link")
+            children[parents[hl4]].append(hl4)
+        return tuple((hl3, hub, tuple(children[hl3])) for hl3, hub in hubs.items())
 
 
 def generate_topology(scenario: NetworkScenario) -> PhysicalTopology:

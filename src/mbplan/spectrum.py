@@ -238,10 +238,11 @@ def demands_for(
     Continuum and PtMP: one demand per HL4 toward its HL12 hub with
     ceil(A4/C) channels. Grooming: per-HL4 demands to the HL3 parent plus
     per-HL3 uplink demands of ceil((h4/h3)*eta*a4/C) channels to the hub.
-    Zero-channel demands are dropped (a4=0 yields an empty list).
+    Zero-channel demands are dropped (a4=0 yields an empty list). HL4
+    demands come in HL4 node order, then HL3 uplinks in HL3 node order.
     """
+    hubs = {hl3: hub for hl3, hub, _ in topology.hierarchy()}
     parents = topology.hl3_parent_map()
-    hubs = topology.hl12_hub_map()
     grooming = arch is ArchitectureKind.GROOMING
     n4 = channels_needed(scenario.a4_gbps, scenario.channel_rate_gbps)
     uplink = grooming_uplink_channels(scenario) if grooming else 0
@@ -309,7 +310,7 @@ class SpectrumAssignment:
 
 
 def _trunk(
-    inner: dict[str, list[str]], trees: dict[str, dict[str, tuple[str, tuple[str, str]]]],
+    adj: dict[str, tuple[str, ...]], trees: dict[str, dict[str, tuple[str, tuple[str, str]]]],
     source: str, entry: str, dest: str,
 ) -> list[tuple[str, str]]:
     """Link keys from ``entry`` to ``dest`` on the fewest-hop path, ties broken by lexicographic node sequence.
@@ -318,26 +319,28 @@ def _trunk(
     the next hop depends only on the node and the destination, and the routes
     to one destination form an in-tree. ``trees[dest]`` maps every node of
     that in-tree to its next hop and the key of the link to it, from one BFS
-    from ``dest``. A degree-1 node is never a transit node, so the BFS follows
-    only ``inner``, each node's neighbours of degree 2 or more; a leaf
-    ``source`` enters through its one neighbour, ``entry``, and the error
-    names ``source``.
+    from ``dest``. A degree-1 node is never a transit node, so the BFS enters
+    only nodes of degree 2 or more; a leaf ``source`` enters through its one
+    neighbour, ``entry``, and the error names ``source``.
     """
+    if entry == dest:
+        return []
     steps = trees.get(dest)
     if steps is None:
         hops = {dest: 0}
         nxt = {}
         frontier = [dest]
         for node in frontier:
-            for nbr in inner[node]:
-                if nbr not in hops:
+            for nbr in adj[node]:
+                if nbr in hops:
+                    if hops[nbr] == hops[node] + 1 and node < nxt[nbr]:
+                        nxt[nbr] = node
+                elif len(adj[nbr]) > 1:
                     hops[nbr] = hops[node] + 1
                     nxt[nbr] = node
                     frontier.append(nbr)
-                elif hops[nbr] == hops[node] + 1 and node < nxt[nbr]:
-                    nxt[nbr] = node
         steps = trees[dest] = {node: (hop, (node, hop) if node <= hop else (hop, node)) for node, hop in nxt.items()}
-    if entry != dest and entry not in steps:
+    if entry not in steps:
         raise RoutingError(f"no route from {source!r} to {dest!r}")
     keys = []
     node = entry
@@ -376,8 +379,6 @@ def assign_spectrum(
     lasts only its own placements change the trunk, and each ORs into it.
     """
     adj = topology.adjacency()
-    # a degree-1 node is never a transit node
-    inner = {node: [nbr for nbr in nbrs if len(adj[nbr]) > 1] for node, nbrs in adj.items()}
     trees: dict[str, dict[str, tuple[str, tuple[str, str]]]] = {}
     lengths = topology.link_lengths()
     full = {band.name: (1 << channel_count(plan, band)) - 1 for band in plan.bands}
@@ -396,7 +397,7 @@ def assign_spectrum(
         nbrs = adj[source]
         entry = nbrs[0] if len(nbrs) == 1 else source
         if group != (entry, dest):
-            trunk_keys = _trunk(inner, trees, source, entry, dest)
+            trunk_keys = _trunk(adj, trees, source, entry, dest)
             group = entry, dest
             trunk_lengths = list(map(lengths.__getitem__, trunk_keys))
             trunk_hops = None
@@ -476,9 +477,11 @@ def _feasibility(plan: SpectrumPlan, assignment: SpectrumAssignment) -> Feasibil
     counts = {band.name: channel_count(plan, band) for band in plan.bands}
     # channels in use per band and link; every band's masks list the same links in the same order
     used = [[mask.bit_count() for mask in assignment.occupancy[name].values()] for name in counts]
-    placed = sum(p.mask.bit_count() for p in assignment.placements if p.band in counts)
-    requested = (sum(p.mask.bit_count() for p in assignment.placements)
-                 + sum(count for _, count in assignment.unplaced))
+    per_band: dict[str, int] = {}
+    for p in assignment.placements:
+        per_band[p.band] = per_band.get(p.band, 0) + p.mask.bit_count()
+    placed = sum(per_band.get(name, 0) for name in counts)
+    requested = sum(per_band.values()) + sum(count for _, count in assignment.unplaced)
     return FeasibilityReport(
         feasible=placed == requested,
         peak_link_occupancy=max(map(sum, zip(*used)), default=0),

@@ -8,7 +8,7 @@ SRC = ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from mbplan.scenario import generate_topology, load_scenario  # noqa: E402
+from mbplan.scenario import HierarchyLevel, Link, Node, PhysicalTopology, generate_topology, load_scenario  # noqa: E402
 from mbplan.spectrum import default_spectrum_plan, restrict_plan  # noqa: E402
 
 
@@ -26,6 +26,21 @@ def benchmark_scenario(data_dir):
 @pytest.fixture(scope="session")
 def benchmark_topology(benchmark_scenario):
     return generate_topology(benchmark_scenario)
+
+
+@pytest.fixture(scope="session")
+def out_of_order_topology():
+    """Hand-made graph: HL3s listed out of id order, HL4s out of HL3 order, links out of node order.
+
+    hl3-0 hangs off hl12-0 and hl3-1 off hl3-0; hl4-0 and hl4-2 hang off
+    hl3-0, hl4-1 off hl3-1.
+    """
+    hl12, hl3, hl4 = HierarchyLevel.HL12, HierarchyLevel.HL3, HierarchyLevel.HL4
+    nodes = (Node("hl12-0", hl12), Node("hl3-1", hl3), Node("hl3-0", hl3),
+             Node("hl4-0", hl4), Node("hl4-1", hl4), Node("hl4-2", hl4))
+    links = (Link("hl3-0", "hl12-0", 50.0), Link("hl3-1", "hl3-0", 50.0), Link("hl3-0", "hl4-2", 50.0),
+             Link("hl4-1", "hl3-1", 50.0), Link("hl4-0", "hl3-0", 50.0))
+    return PhysicalTopology(nodes=nodes, links=links)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from mbplan import cli
 from mbplan.cli import MAX_SWEEP_POINTS, _parse_vary, main
-from mbplan.costing import CostModel
+from mbplan.costing import CostModel, cost
+from mbplan.dimensioning import ArchitectureKind, dimension
 from mbplan.report import build_comparison
-from mbplan.scenario import _MAX_H4, NetworkScenario, ScenarioError, load_scenario, to_dict
+from mbplan.scenario import _MAX_H4, NetworkScenario, ScenarioError, generate_topology, load_scenario, to_dict
 from mbplan.spectrum import _MAX_BAND_CHANNELS, Band, SpectrumPlan, default_spectrum_plan
 from strategies import cost_documents, plan_documents, scenario_documents
 
@@ -263,6 +264,27 @@ def test_single_point_sweep_matches_dimension(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 1
     assert rows[0]["grooming_total"] == "560"
+
+
+@pytest.mark.parametrize("kind", ["tree", "ring"])
+@pytest.mark.parametrize("vary", ["h4=23:41:6", "eta=0:1:0.25"])
+def test_sweep_rows_match_dimension_on_each_point(capsys, tmp_path, kind, vary):
+    # h4 is never a multiple of h3, and each h4 point has its own children per hub
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"h4": 23, "h3": 6, "h12": 4, "a4_gbps": 500.0, "eta": 0.5, "topology_kind": kind}))
+    code, out, _ = run(capsys, "sweep", str(path), "--vary", vary)
+    assert code == 0
+    field, values = _parse_vary(vary)
+    expected = [["field", "value", *(f"{arch.value}_{col}" for arch in ArchitectureKind
+                                     for col in ("total", "capex_cu"))]]
+    for value in values:
+        point = replace(load_scenario(path), **{field: value})
+        row = [field, cli._num(value)]
+        for arch in ArchitectureKind:
+            result = dimension(point, arch, topology=generate_topology(point))
+            row += [str(int(result.total)), cli._cu(cost(result, CostModel(), point).total_cu)]
+        expected.append(row)
+    assert list(csv.reader(io.StringIO(out))) == expected
 
 
 def test_sweep_all_architectures_header(capsys):

@@ -153,6 +153,7 @@ def test_result_total_identity_is_checked():
 
 def test_channels_needed_edges():
     assert channels_needed(0.0, 400.0) == 0
+    assert channels_needed(0.5, 400.0) == channels_needed(1.0, 400.0) == 1
     assert channels_needed(400.0, 400.0) == 1
     assert channels_needed(400.0001, 400.0) == 2
     assert channels_needed(1200.0, 400.0) == 3

@@ -4,12 +4,16 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from mbplan.costing import CostingError, CostModel
+from mbplan.dimensioning import ArchitectureKind, dimension
 from mbplan.scenario import (
     HierarchyLevel,
+    Link,
     NetworkScenario,
+    Node,
+    PhysicalTopology,
     ScenarioError,
     TopologyKind,
     _MAX_DEMAND_CHANNELS,
@@ -18,11 +22,14 @@ from mbplan.scenario import (
     _MIN_CHANNEL_RATE_GBPS,
     generate_topology,
     load_scenario,
+    read_record,
     scenario_from_json,
     to_dict,
 )
-from mbplan.spectrum import Band, SpectrumError, SpectrumPlan, default_bands
-from oracles import nearest_hl12
+from mbplan.spectrum import (
+    Band, Demand, SpectrumError, SpectrumPlan, assign_spectrum, default_bands, default_spectrum_plan, demands_for,
+)
+from oracles import _hl3_children, nearest_hl12
 from strategies import scenarios
 
 
@@ -187,6 +194,10 @@ def test_topology_balance_and_connectivity(s):
     else:
         assert len(groups) == s.h12
         assert all(len(group & hl12s) == 1 for group in groups)
+        # HL3s per HL12 differ by at most one
+        hl3s_per_hub = Counter(topo.hl12_hub_map().values())
+        per_hl12 = [hl3s_per_hub[hl12] for hl12 in hl12s]
+        assert max(per_hl12) - min(per_hl12) <= 1
     # link-count identities
     cycle = s.h3 + s.h12
     expected = s.h4 + s.h3 if s.topology_kind is TopologyKind.TREE else s.h4 + (1 if cycle == 2 else cycle)
@@ -209,6 +220,64 @@ def test_every_hl4_reaches_an_hl12(s):
 def test_hub_map_matches_per_hl3_search(s):
     topo = generate_topology(s)
     assert topo.hl12_hub_map() == {hl3: nearest_hl12(topo, hl3) for hl3 in topo.nodes_at(HierarchyLevel.HL3)}
+
+
+@settings(max_examples=200)
+@given(scenarios())
+# h4 not a multiple of h3: the HL3s have unequal child counts
+@example(NetworkScenario(h4=11, h3=4, h12=2, a4_gbps=1.0, eta=0.5, topology_kind=TopologyKind.TREE))
+@example(NetworkScenario(h4=11, h3=4, h12=2, a4_gbps=1.0, eta=0.5, topology_kind=TopologyKind.RING))
+def test_hierarchy_matches_the_graph(s):
+    topo = generate_topology(s)
+    expected = tuple((hl3, nearest_hl12(topo, hl3), tuple(kids)) for hl3, kids in _hl3_children(topo).items())
+    assert topo.hierarchy() == expected
+    assert topo.hierarchy() is topo.hierarchy()
+
+
+def test_hierarchy_keeps_node_order(out_of_order_topology):
+    topo = out_of_order_topology
+    assert topo.hierarchy() == (("hl3-1", "hl12-0", ("hl4-1",)), ("hl3-0", "hl12-0", ("hl4-0", "hl4-2")))
+    assert topo.hl3_parent_map() == {"hl4-2": "hl3-0", "hl4-1": "hl3-1", "hl4-0": "hl3-0"}
+    assert topo.hl12_hub_map() == {"hl3-1": "hl12-0", "hl3-0": "hl12-0"}
+    assert topo.nodes_at(HierarchyLevel.HL3) == ("hl3-1", "hl3-0")
+
+
+def test_an_hl4_with_no_hl3_link_is_named():
+    # hl4-1 hangs off the HL12 node, hl4-2 off another HL4
+    hl12, hl3, hl4 = HierarchyLevel.HL12, HierarchyLevel.HL3, HierarchyLevel.HL4
+    topo = PhysicalTopology(
+        nodes=(Node("hl12-0", hl12), Node("hl3-0", hl3), Node("hl4-0", hl4), Node("hl4-1", hl4),
+               Node("hl4-2", hl4)),
+        links=(Link("hl3-0", "hl12-0", 50.0), Link("hl4-0", "hl3-0", 50.0), Link("hl4-1", "hl12-0", 50.0),
+               Link("hl4-1", "hl4-2", 50.0)),
+    )
+    s = NetworkScenario(h4=3, h3=1, h12=1, a4_gbps=100.0, eta=0.5)
+    message = "HL4 node hl4-1 has no HL3 link"
+    with pytest.raises(ScenarioError, match=message):
+        topo.hierarchy()
+    with pytest.raises(ScenarioError, match=message):
+        dimension(s, ArchitectureKind.PTMP, topology=topo)
+    for arch in ArchitectureKind:
+        with pytest.raises(ScenarioError, match=message):
+            demands_for(arch, s, topo)
+    # the maps and routing need no hierarchy
+    assert topo.hl3_parent_map() == {"hl4-0": "hl3-0"}
+    assert topo.hl12_hub_map() == {"hl3-0": "hl12-0"}
+    result = assign_spectrum(default_spectrum_plan(), topo, [Demand("hl4-2", "hl3-0", 1)])
+    assert result.unplaced == [] and result.placements[0].route == (
+        ("hl4-2", "hl4-1"), ("hl4-1", "hl12-0"), ("hl12-0", "hl3-0"))
+
+
+def test_node_and_link_lookups(benchmark_topology):
+    topo = benchmark_topology
+    for level in HierarchyLevel:
+        assert topo.nodes_at(level) == tuple(n.id for n in topo.nodes if n.level is level)
+    assert topo.link_lengths() == {link.key: link.length_km for link in topo.links}
+    # the maps are copies: changing one leaves the topology as it was
+    for getter in (topo.link_lengths, topo.hl3_parent_map, topo.hl12_hub_map, topo.adjacency):
+        copy = getter()
+        copy.clear()
+        assert getter()
 
 
 @settings(max_examples=150)
@@ -248,6 +317,46 @@ def test_bad_eta_type_names_field():
     doc = '{"h4": 8, "h3": 2, "h12": 1, "a4_gbps": 100, "eta": "x"}'
     with pytest.raises(ScenarioError, match="eta"):
         scenario_from_json(doc)
+
+
+@pytest.mark.parametrize("value", [2.5, "5", True], ids=["fraction", "string", "bool"])
+def test_count_fields_must_be_integers(value):
+    with pytest.raises(ScenarioError, match="h4 must be an integer"):
+        scenario_from_json(json.dumps({"h4": value, "h3": 1, "h12": 1, "a4_gbps": 1, "eta": 0.5}))
+    with pytest.raises(ScenarioError, match="h4 must be a positive integer"):
+        NetworkScenario(h4=value, h3=1, h12=1, a4_gbps=1.0, eta=0.5)
+
+
+def test_float_fields_take_the_whole_finite_range():
+    # the reader passes the largest finite floats on; the scenario's own checks judge them
+    doc = {"h4": 1, "h3": 1, "h12": 1, "a4_gbps": 1, "eta": 0.5, "link_length_km": 1.7976931348623157e308}
+    assert scenario_from_json(json.dumps(doc)).link_length_km == 1.7976931348623157e308
+    with pytest.raises(ScenarioError, match="a4_gbps must be non-negative and finite"):
+        scenario_from_json(json.dumps({**doc, "a4_gbps": -1.7976931348623157e308}))
+
+
+def test_zero_channel_rate_is_not_positive():
+    with pytest.raises(ScenarioError, match="channel_rate_gbps must be positive and finite, got 0"):
+        NetworkScenario(h4=1, h3=1, h12=1, a4_gbps=0.0, eta=0.5, channel_rate_gbps=0)
+
+
+def test_demand_channel_cap_is_one_million():
+    NetworkScenario(h4=1, h3=1, h12=1, a4_gbps=400.0 * 1_000_000, eta=0.5)
+    with pytest.raises(ScenarioError, match="needs more than 1000000 channels per HL4"):
+        NetworkScenario(h4=1, h3=1, h12=1, a4_gbps=400.0 * 1_000_000 + 1, eta=0.5)
+
+
+def test_read_record_reads_optional_and_list_fields(data_dir):
+    # a plan file has null and non-null optional fields and a list of records
+    text = (data_dir / "default_spectrum_plan.json").read_text(encoding="utf-8")
+    assert read_record(text, SpectrumPlan, SpectrumError) == SpectrumPlan(bands=default_bands())
+
+
+def test_a_non_object_is_named():
+    with pytest.raises(ScenarioError, match="^document must be a JSON object, got list$"):
+        scenario_from_json("[1]")
+    with pytest.raises(SpectrumError, match="^band #0 must be a JSON object, got int$"):
+        read_record('{"bands": [1]}', SpectrumPlan, SpectrumError)
 
 
 def test_parse_error_reports_position():

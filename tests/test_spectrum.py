@@ -240,6 +240,16 @@ def test_grooming_demands_on_benchmark(benchmark_scenario, benchmark_topology):
     assert len(uplinks) == 40 and all(d.channels == 2 for d in uplinks)
 
 
+def test_demands_keep_node_order(out_of_order_topology):
+    # HL4 demands in HL4 node order, uplinks in HL3 node order, not in hierarchy or link order
+    s = NetworkScenario(h4=3, h3=2, h12=1, a4_gbps=400.0, eta=1.0)
+    assert demands_for(ArchitectureKind.CONTINUUM, s, out_of_order_topology) == [
+        Demand("hl4-0", "hl12-0", 1), Demand("hl4-1", "hl12-0", 1), Demand("hl4-2", "hl12-0", 1)]
+    assert demands_for(ArchitectureKind.GROOMING, s, out_of_order_topology) == [
+        Demand("hl4-0", "hl3-0", 1), Demand("hl4-1", "hl3-1", 1), Demand("hl4-2", "hl3-0", 1),
+        Demand("hl3-1", "hl12-0", 2), Demand("hl3-0", "hl12-0", 2)]
+
+
 def test_zero_traffic_means_no_demands(benchmark_topology, benchmark_scenario):
     s = NetworkScenario(200, 40, 5, 0.0, 0.5)
     for arch in ArchitectureKind:
